@@ -50,7 +50,6 @@ from .sampler import (
     GaussianStream,
     SeedPolicy,
     constrained_haar_state,
-    constrained_haar_state_direct,
     haar_state,
 )
 from .magic import (

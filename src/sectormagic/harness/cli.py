@@ -261,7 +261,7 @@ def _dispatch(command: str, cfg: ExperimentConfig):
             Ls=cfg.L_values,
             realizations=50 if cfg.realizations is None else cfg.realizations,
             seed=cfg.seed, threads=cfg.threads,
-            fraction=cfg.fraction or 0.1)
+            fraction=0.1 if cfg.fraction is None else cfg.fraction)
     if command == "pe-check":
         return run_pe_check(
             cfg.L, cfg.q[0] if isinstance(cfg.q, list) else cfg.q,
@@ -277,7 +277,8 @@ def _emit(records, summary, cfg: ExperimentConfig, stdout) -> None:
         else:
             write_csv(records, cfg.out + ".csv")
         write_summary(summary, cfg.out + ".summary.json")
-    json.dump(_jsonable(summary), stdout, indent=2, sort_keys=True)
+    json.dump(_jsonable(summary), stdout, indent=2, sort_keys=True,
+              allow_nan=False)
     stdout.write("\n")
 
 
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "analytic":
             json.dump(_jsonable(_analytic_payload(args)), sys.stdout,
-                      indent=2, sort_keys=True)
+                      indent=2, sort_keys=True, allow_nan=False)
             sys.stdout.write("\n")
             return 0
         cfg = _merge_config(args)

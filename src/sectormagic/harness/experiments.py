@@ -1,11 +1,16 @@
-"""Experiment drivers.
+"""Experiment drivers: state source x observable set x reducer.
 
-Reproducibility contract: every Monte Carlo task (sample index or disorder
-realization) owns a hash-derived generator keyed by (master seed,
-experiment id, task index), tasks are dispatched in fixed chunks of CHUNK,
-and reduction walks the results in task order.  Records and summaries are
-therefore byte-identical for any worker count, and any sub-range of tasks
-can be recomputed in isolation.
+Two state sources, sector-Haar draws (`_haar_chunk`) and disorder
+realizations (`_disorder_chunk`), run behind one task dispatcher
+(`_dispatch`); each run_* driver only reduces their rows to RunRecords,
+SummaryStats and a summary dict.  Task i of an experiment owns the stream
+SeedPolicy(seed).stream(experiment id, i), tasks go out in fixed chunks of
+CHUNK and are reduced in task order, so output bytes do not depend on the
+worker count.  The ids sample:L=..:q=..:frame=.., varconv:L=..:q=..,
+mixed:L=..:q=..:t=.., pe:L=..:q=.., {model}:L=.. and selfavg:{model}:L=..
+never change.  Degenerate inputs raise ConfigError up front, and a
+statistic that means nothing (fewer than two samples, a one-state sector)
+is None, never NaN.
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ from ..moments import (
     variance_sp2,
 )
 from ..asymptotics import XI_HESSIAN, asymptotic_prediction, nearest_sector_charge
-from ..sampler import SeedPolicy, constrained_haar_state
+from ..sampler import GaussianStream, SeedPolicy, constrained_haar_state
 from ..magic import pauli_spectrum, shannon_pe
 from ..hamiltonians import (
-    NumericalContractError,
     adjacent_gap_ratio,
     build_csyk,
     build_mfim,
@@ -95,6 +99,21 @@ def _budget_check(L: int, qs=(), allow_large: bool = False):
                 f"sector (L={L}, q={q}) has dimension {d} > {_SECTOR_DIM_CAP}")
 
 
+def _z_score(stats: SummaryStats, exact: float, d: int):
+    """(observed mean - exact mean) / sem, or None when it means nothing:
+    fewer than two samples, or a one-state sector (every draw is the same
+    state, so the spread is rounding noise)."""
+    if stats.count < 2 or d == 1:
+        return None
+    return (stats.mean - exact) / stats.sem
+
+
+def _frame_tag(spec) -> str:
+    if isinstance(spec, str):
+        return spec
+    return "t%.12g:p%.12g" % tuple(spec)
+
+
 def _parallel_chunks(worker, arglist, threads: int):
     """Run worker over arglist, preserving order; forks only when useful."""
     if threads <= 1 or len(arglist) <= 1:
@@ -105,49 +124,129 @@ def _parallel_chunks(worker, arglist, threads: int):
         return list(pool.map(worker, arglist))
 
 
-def _chunk_ranges(n: int):
-    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+def _dispatch(worker, exp_id: str, tasks: int, seed: int, threads: int,
+              *params):
+    """The one task dispatcher: per-chunk results of worker, in task order.
+
+    Task i of exp_id owns the stream keyed by SeedPolicy(seed) on
+    (exp_id, i).  Tasks go out in fixed ranges of CHUNK; each worker call
+    gets the stream keys of one range followed by the shared params.
+    """
+    if tasks < 1:
+        raise ConfigError(f"need at least one sample or realization, "
+                          f"got {tasks}")
+    threads = resolve_threads(threads)
+    policy = SeedPolicy(seed)
+    arglist = [([policy.child_key(exp_id, i)
+                 for i in range(lo, min(lo + CHUNK, tasks))],) + params
+               for lo in range(0, tasks, CHUNK)]
+    return _parallel_chunks(worker, arglist, threads)
 
 
-def _frame_from_spec(spec):
-    if isinstance(spec, str):
-        return spec
-    theta, phi = spec
-    return Direction.from_angles(theta, phi)
+# ---------------------------------------------------------------------------
+# state sources
+# ---------------------------------------------------------------------------
+
+def _haar_chunk(args):
+    """Sector-Haar draws, one per stream key: rows (task order, one column
+    per requested observable) and the pooled |<P>|^2 histogram (None
+    without bins).
+
+    Observables: xi2 and m2 (Pauli kernel), ipr2 = sum p^2 and s2, the
+    Shannon participation entropy shannon_pe, and probe, the weight
+    d |c_x0|^2 of the first sector basis state.  Only the requested ones
+    are computed.
+    """
+    keys, L, q, frame, observables, hist_bins = args
+    kernel = "xi2" in observables or "m2" in observables
+    weights = not {"ipr2", "s2", "probe"}.isdisjoint(observables)
+    if "probe" in observables:
+        basis = enumerate_sector(L, q)
+        d, probe = basis.dimension, int(basis.states[0])
+    rows = np.empty((len(keys), len(observables)))
+    hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
+    for i, key in enumerate(keys):
+        state = constrained_haar_state(L, q, frame=frame,
+                                       seed=GaussianStream(key))
+        value = {}
+        if kernel:
+            summ = pauli_spectrum(state, (2.0,),
+                                  histogram_bins=hist_bins or None)
+            value["xi2"] = summ.purity(2.0)
+            value["m2"] = -math.log2(value["xi2"])
+            if hist is not None:
+                hist += summ.histogram[0]
+        if weights:
+            p = np.abs(state) ** 2
+            value["ipr2"] = float(p @ p)
+            value["s2"] = -math.log2(value["ipr2"])
+            if "probe" in observables:
+                value["probe"] = d * float(p[probe])
+        if "shannon_pe" in observables:
+            value["shannon_pe"] = shannon_pe(state)
+        rows[i] = [value[obs] for obs in observables]
+    return rows, hist
 
 
-def _frame_tag(spec) -> str:
-    if isinstance(spec, str):
-        return spec
-    return "t%.12g:p%.12g" % tuple(spec)
+def _haar_draws(exp_id, samples, seed, threads, L, q, frame, observables,
+                hist_bins=0):
+    """All rows of `samples` sector-Haar draws in task order, and their
+    pooled histogram."""
+    chunks = _dispatch(_haar_chunk, exp_id, samples, seed, threads,
+                       L, q, frame, observables, hist_bins)
+    rows = np.concatenate([vals for vals, _ in chunks])
+    hist = sum(h for _, h in chunks) if hist_bins else None
+    return rows, hist
+
+
+_BUILDERS = {
+    "csyk": lambda L, stream, p: build_csyk(L, seed=stream),
+    "xxz": lambda L, stream, p: build_xxz_nnn(L, **p),
+    "mfim": lambda L, stream, p: build_mfim(L, **p),
+}
+
+
+def _disorder_chunk(args):
+    """Disorder realizations, one per stream key, in task order: per
+    realization a list with one cell per sector holding the m2 of each kept
+    mid-spectrum eigenstate, their energy densities, the gap ratio and
+    whether the block is zero.  q None means the full space."""
+    keys, model, L, qs, params, window, fraction = args
+    out = []
+    for key in keys:
+        H = _BUILDERS[model](L, GaussianStream(key), dict(params))
+        row = []
+        for q in qs:
+            if q is None:
+                block = H.matrix
+                basis = None
+            else:
+                block, basis = extract_sector_block(H, q)
+            block_zero = not np.any(block)
+            es = diagonalize(block)
+            keep = midspectrum_filter(es.values, L, window=window,
+                                      fraction=fraction)
+            m2s = np.empty(keep.size)
+            for n, k in enumerate(keep):
+                v = es.vectors[:, k]
+                psi = v if basis is None else embed_eigenvector(v, basis)
+                xi2 = pauli_spectrum(psi, (2.0,)).purity(2.0)
+                m2s[n] = -math.log2(xi2)
+            row.append({
+                "q": q,
+                "dim": es.dimension,
+                "m2": m2s,
+                "e_density": es.values[keep] / L,
+                "gap_ratio": adjacent_gap_ratio(es.values),
+                "block_zero": block_zero,
+            })
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # constrained-ensemble sampling
 # ---------------------------------------------------------------------------
-
-def _sample_chunk(args):
-    """One chunk of Haar-sector samples: per-task (xi2, m2, s2, shannon)
-    plus a pooled |<P>|^2 histogram."""
-    master, exp_id, L, q, frame_spec, lo, hi, hist_bins = args
-    policy = SeedPolicy(master)
-    frame = _frame_from_spec(frame_spec)
-    vals = np.empty((hi - lo, 4))
-    hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
-    for i in range(lo, hi):
-        state = constrained_haar_state(L, q, frame=frame,
-                                       seed=policy.stream(exp_id, i))
-        summ = pauli_spectrum(state, (2.0,),
-                              histogram_bins=hist_bins if hist_bins else None)
-        xi2 = summ.purity(2.0)
-        p = np.abs(state) ** 2
-        ipr2 = float(p @ p)
-        vals[i - lo] = (xi2, -math.log2(xi2), -math.log2(ipr2),
-                        shannon_pe(state))
-        if hist is not None:
-            hist += summ.histogram[0]
-    return vals, hist
-
 
 _SAMPLE_OBS = ("xi2", "m2", "s2", "shannon_pe")
 
@@ -159,29 +258,22 @@ def run_ensemble_experiment(L, qs, samples, frame="z", seed=0, threads=None,
     ensemble moments attached for comparison."""
     qs = list(qs)
     _budget_check(L, qs, allow_large)
-    threads = resolve_threads(threads)
-    tag = _frame_tag(frame)
+    tag = _frame_tag(frame)  # before the spec becomes a Direction
+    if not isinstance(frame, str):
+        frame = Direction.from_angles(*frame)
 
     records = []
     sectors = {}
     for q in qs:
-        exp_id = f"sample:L={L}:q={q}:frame={tag}"
-        args = [(seed, exp_id, L, q, frame, lo, hi, histogram_bins)
-                for lo, hi in _chunk_ranges(samples)]
-        results = _parallel_chunks(_sample_chunk, args, threads)
-
+        rows, hist = _haar_draws(f"sample:L={L}:q={q}:frame={tag}", samples,
+                                 seed, threads, L, q, frame,
+                                 _SAMPLE_OBS, histogram_bins)
         stats = {obs: SummaryStats() for obs in _SAMPLE_OBS}
-        hist = np.zeros(histogram_bins, dtype=np.int64) if histogram_bins else None
-        task = 0
-        for vals, h in results:
-            for row in vals:
-                for obs, value in zip(_SAMPLE_OBS, row):
-                    records.append(RunRecord("sample", seed, task, L, q, obs,
-                                             float(value)))
-                    stats[obs].update(float(value))
-                task += 1
-            if hist is not None:
-                hist += h
+        for task, row in enumerate(rows):
+            for obs, value in zip(_SAMPLE_OBS, row):
+                records.append(RunRecord("sample", seed, task, L, q, obs,
+                                         float(value)))
+                stats[obs].update(value)
 
         d = sector_dimension(L, q)
         sector = {
@@ -219,45 +311,42 @@ def run_variance_convergence(L, qs, samples, seed=0, threads=None,
     logarithmic checkpoints."""
     qs = list(qs)
     _budget_check(L, qs, allow_large)
-    threads = resolve_threads(threads)
     if not checkpoints:
         checkpoints = [c for c in (100, 300, 1000, 3000, 10000, 30000, 100000)
                        if c < samples]
     checkpoints = sorted(set(int(c) for c in checkpoints) | {samples})
     if any(c < 2 for c in checkpoints):
         raise ConfigError("checkpoints must be >= 2")
+    marks = set(checkpoints)
 
     records = []
     sectors = {}
     for q in qs:
-        exp_id = f"varconv:L={L}:q={q}"
-        args = [(seed, exp_id, L, q, "z", lo, hi, 0)
-                for lo, hi in _chunk_ranges(samples)]
-        results = _parallel_chunks(_sample_chunk, args, threads)
-
+        xi2s, _ = _haar_draws(f"varconv:L={L}:q={q}", samples, seed, threads,
+                              L, q, "z", ("xi2",))
+        d = sector_dimension(L, q)
         exact_mean = float(mean_sp2(L, q))
         exact_var = float(variance_sp2(L, q))
         stats = SummaryStats()
-        marks = set(checkpoints)
         rows = []
-        for vals, _ in results:
-            for row in vals:
-                stats.update(float(row[0]))
-                if stats.count in marks:
-                    rows.append({
-                        "count": stats.count,
-                        "mean": stats.mean,
-                        "variance": stats.variance,
-                        "mean_z": (stats.mean - exact_mean) / stats.sem,
-                        "variance_ratio": stats.variance / exact_var,
-                    })
-        for ck in rows:
-            records.append(RunRecord("variance-convergence", seed,
-                                     int(ck["count"]), L, q, "xi2",
-                                     ck["mean"], aux1=ck["variance"],
-                                     aux2=float(ck["count"])))
+        for (xi2,) in xi2s:
+            stats.update(xi2)
+            if stats.count in marks:
+                records.append(RunRecord("variance-convergence", seed,
+                                         stats.count, L, q, "xi2", stats.mean,
+                                         aux1=stats.variance,
+                                         aux2=float(stats.count)))
+                rows.append({
+                    "count": stats.count,
+                    "mean": stats.mean,
+                    "variance": stats.variance,
+                    "mean_z": _z_score(stats, exact_mean, d),
+                    # a one-state sector has exact variance 0
+                    "variance_ratio": (None if d == 1
+                                       else stats.variance / exact_var),
+                })
         sectors[str(q)] = {
-            "dimension": sector_dimension(L, q),
+            "dimension": d,
             "exact_mean": exact_mean,
             "exact_variance": exact_var,
             "checkpoints": rows,
@@ -282,36 +371,31 @@ def run_mixed_charge(L, q, thetas, samples, seed=0, phi=0.0, threads=None,
     """Constrain the charge along a tilted axis n(theta, phi) and compare the
     sampled mean Xi_2 against the extended-precision tilted prediction."""
     _budget_check(L, [q], allow_large)
-    threads = resolve_threads(threads)
     thetas = [float(t) for t in thetas]
+    d = sector_dimension(L, q)
 
     records = []
     sweep = []
     task = 0
     for ti, theta in enumerate(thetas):
-        exp_id = f"mixed:L={L}:q={q}:t={ti}"
-        frame_spec = (theta, phi)
-        args = [(seed, exp_id, L, q, frame_spec, lo, hi, 0)
-                for lo, hi in _chunk_ranges(samples)]
-        results = _parallel_chunks(_sample_chunk, args, threads)
-
         direction = Direction.from_angles(theta, phi)
+        rows, _ = _haar_draws(f"mixed:L={L}:q={q}:t={ti}", samples, seed,
+                              threads, L, q, direction, ("xi2", "m2"))
         analytic = mean_sp2_tilted(L, q, direction)
         stats = SummaryStats()
-        for vals, _ in results:
-            for row in vals:
-                records.append(RunRecord("mixed", seed, task, L, q, "xi2",
-                                         float(row[0]), aux1=theta))
-                records.append(RunRecord("mixed", seed, task, L, q, "m2",
-                                         float(row[1]), aux1=theta))
-                stats.update(float(row[0]))
-                task += 1
+        for xi2, m2 in rows:
+            records.append(RunRecord("mixed", seed, task, L, q, "xi2",
+                                     float(xi2), aux1=theta))
+            records.append(RunRecord("mixed", seed, task, L, q, "m2",
+                                     float(m2), aux1=theta))
+            stats.update(xi2)
+            task += 1
         sweep.append({
             "theta": theta,
             "phi": phi,
             "analytic_mean_xi2": analytic,
             "observed": stats.to_dict(),
-            "mean_z": (stats.mean - analytic) / stats.sem,
+            "mean_z": _z_score(stats, analytic, d),
         })
 
     summary = {
@@ -329,55 +413,6 @@ def run_mixed_charge(L, q, thetas, samples, seed=0, phi=0.0, threads=None,
 # disorder ensembles
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {
-    "csyk": lambda L, stream, p: build_csyk(L, seed=stream),
-    "xxz": lambda L, stream, p: _xxz_disordered(L, stream, p),
-    "mfim": lambda L, stream, p: build_mfim(L, **p),
-}
-
-
-def _xxz_disordered(L, stream, p):
-    return build_xxz_nnn(L, **p)
-
-
-def _disorder_chunk(args):
-    """Chunk of disorder realizations: per realization and sector, the
-    mid-spectrum eigenstate m2 values, energy densities and gap ratio."""
-    (master, model, L, qs, params, lo, hi, window, fraction) = args
-    policy = SeedPolicy(master)
-    out = []
-    for r in range(lo, hi):
-        stream = policy.stream(f"{model}:L={L}", r)
-        H = _BUILDERS[model](L, stream, dict(params))
-        row = []
-        for q in qs:
-            if q is None:
-                block = H.matrix
-                basis = None
-            else:
-                block, basis = extract_sector_block(H, q)
-            block_zero = not np.any(block)
-            es = diagonalize(block)
-            keep = midspectrum_filter(es.values, L, window=window,
-                                      fraction=fraction)
-            m2s = np.empty(keep.size)
-            for n, k in enumerate(keep):
-                v = es.vectors[:, k]
-                psi = v if basis is None else embed_eigenvector(v, basis)
-                xi2 = pauli_spectrum(psi, (2.0,)).purity(2.0)
-                m2s[n] = -math.log2(xi2)
-            row.append({
-                "q": q,
-                "dim": es.dimension,
-                "m2": m2s,
-                "e_density": es.values[keep] / L,
-                "gap_ratio": adjacent_gap_ratio(es.values),
-                "block_zero": block_zero,
-            })
-        out.append(row)
-    return out
-
-
 def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
                        threads=None, window=None, fraction=None,
                        couplings=None):
@@ -394,34 +429,29 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
     qs = [None] if qs is None else list(qs)
     if model == "mfim" and qs != [None]:
         raise ConfigError("mfim has no conserved charge; leave qs unset")
-    threads = resolve_threads(threads)
     params = tuple(sorted((couplings or {}).items()))
 
-    args = [(seed, model, L, tuple(qs), params, lo, hi, window, fraction)
-            for lo, hi in _chunk_ranges(realizations)]
-    results = _parallel_chunks(_disorder_chunk, args, threads)
+    chunks = _dispatch(_disorder_chunk, f"{model}:L={L}", realizations, seed,
+                       threads, model, L, tuple(qs), params, window, fraction)
 
     records = []
     pooled = {q: {"m2": SummaryStats(), "gap": SummaryStats(),
                   "zero": 0, "dim": None} for q in qs}
     task = 0
-    r = 0
-    for chunk in results:
-        for row in chunk:
-            for cell in row:
-                q = cell["q"]
-                agg = pooled[q]
-                agg["dim"] = cell["dim"]
-                agg["zero"] += bool(cell["block_zero"])
-                if math.isfinite(cell["gap_ratio"]):
-                    agg["gap"].update(cell["gap_ratio"])
-                for m2, ed in zip(cell["m2"], cell["e_density"]):
-                    records.append(RunRecord(model, seed, task, L, q, "m2",
-                                             float(m2), aux1=float(r),
-                                             aux2=float(ed)))
-                    agg["m2"].update(float(m2))
-                    task += 1
-            r += 1
+    for r, row in enumerate(row for chunk in chunks for row in chunk):
+        for cell in row:
+            q = cell["q"]
+            agg = pooled[q]
+            agg["dim"] = cell["dim"]
+            agg["zero"] += bool(cell["block_zero"])
+            if math.isfinite(cell["gap_ratio"]):
+                agg["gap"].update(cell["gap_ratio"])
+            for m2, ed in zip(cell["m2"], cell["e_density"]):
+                records.append(RunRecord(model, seed, task, L, q, "m2",
+                                         float(m2), aux1=float(r),
+                                         aux2=float(ed)))
+                agg["m2"].update(m2)
+                task += 1
 
     full_bound = -math.log2(float(haar_mean_sp2(L)))
     sectors = {}
@@ -436,7 +466,7 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
             "m2_mean_bound": bound,
             "m2_deficit": None if stats.count == 0 else bound - stats.mean,
             "gap_ratio": agg["gap"].to_dict(),
-            "degenerate": agg["zero"] == realizations and realizations > 0,
+            "degenerate": agg["zero"] == realizations,
         }
 
     summary = {
@@ -452,25 +482,6 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
     return records, summary
 
 
-def _selfavg_chunk(args):
-    """Per-realization mean mid-spectrum m2 in one charge sector."""
-    master, model, L, q, params, lo, hi, fraction = args
-    policy = SeedPolicy(master)
-    means = np.empty(hi - lo)
-    for r in range(lo, hi):
-        stream = policy.stream(f"selfavg:{model}:L={L}", r)
-        H = _BUILDERS[model](L, stream, dict(params))
-        block, basis = extract_sector_block(H, q)
-        es = diagonalize(block)
-        keep = midspectrum_filter(es.values, L, fraction=fraction)
-        acc = 0.0
-        for k in keep:
-            psi = embed_eigenvector(es.vectors[:, k], basis)
-            acc += -math.log2(pauli_spectrum(psi, (2.0,)).purity(2.0))
-        means[r - lo] = acc / keep.size
-    return means
-
-
 def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
                        threads=None, fraction=0.1, couplings=None):
     """Relative disorder fluctuation of the mean mid-spectrum m2 per system
@@ -479,30 +490,37 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
         raise ConfigError(f"unknown model {model!r}")
     if model == "mfim":
         raise ConfigError("self-averaging driver needs a charge sector")
-    threads = resolve_threads(threads)
+    q = 0  # half filling / zero magnetization
+    for L in Ls:
+        d = sector_dimension(L, q)
+        if round(fraction * d) == 0:
+            raise ConfigError(
+                f"fraction {fraction} keeps no eigenstate of the L={L}, "
+                f"q={q} sector (dimension {d})")
     params = tuple(sorted((couplings or {}).items()))
 
     records = []
     sizes = []
     for L in Ls:
-        q = 0  # half filling / zero magnetization
-        args = [(seed, model, L, q, params, lo, hi, fraction)
-                for lo, hi in _chunk_ranges(realizations)]
-        results = _parallel_chunks(_selfavg_chunk, args, threads)
+        chunks = _dispatch(_disorder_chunk, f"selfavg:{model}:L={L}",
+                           realizations, seed, threads, model, L, (q,),
+                           params, None, fraction)
         stats = SummaryStats()
-        r = 0
-        for means in results:
-            for m in means:
-                records.append(RunRecord("self-averaging", seed, r, L, q,
-                                         "m2", float(m), aux1=float(r)))
-                stats.update(float(m))
-                r += 1
-        rel_var = stats.variance / stats.mean ** 2
+        for r, (cell,) in enumerate(row for chunk in chunks for row in chunk):
+            acc = 0.0
+            for m2 in cell["m2"]:
+                acc += float(m2)
+            mean = acc / cell["m2"].size
+            records.append(RunRecord("self-averaging", seed, r, L, q,
+                                     "m2", mean, aux1=float(r)))
+            stats.update(mean)
         sizes.append({
             "L": L,
             "q": q,
             "m2": stats.to_dict(),
-            "relative_variance": rel_var,
+            # one realization has no spread
+            "relative_variance": (None if stats.count < 2
+                                  else stats.variance / stats.mean ** 2),
         })
 
     rels = [s["relative_variance"] for s in sizes]
@@ -513,7 +531,9 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
         "realizations": realizations,
         "fraction": fraction,
         "sizes": sizes,
-        "monotone_decreasing": all(b < a for a, b in zip(rels, rels[1:])),
+        "monotone_decreasing": (
+            None if None in rels
+            else all(b < a for a, b in zip(rels, rels[1:]))),
     }
     return records, summary
 
@@ -574,53 +594,33 @@ def run_asymptotic_collapse(Ls, s_values, xi_variant=XI_HESSIAN, seed=0):
 # participation-entropy checks
 # ---------------------------------------------------------------------------
 
-def _pe_chunk(args):
-    """Chunk of sector-Haar samples: (sum p^2, shannon bits, scaled first
-    sector amplitude weight d*|c|^2)."""
-    master, exp_id, L, q, lo, hi = args
-    policy = SeedPolicy(master)
-    basis = enumerate_sector(L, q)
-    d = basis.dimension
-    probe = int(basis.states[0])
-    vals = np.empty((hi - lo, 3))
-    for i in range(lo, hi):
-        state = constrained_haar_state(L, q,
-                                       seed=policy.stream(exp_id, i))
-        p = np.abs(state) ** 2
-        vals[i - lo] = (float(p @ p), shannon_pe(state),
-                        d * float(p[probe]))
-    return vals
+_PE_OBS = ("ipr2", "s2", "shannon_pe", "probe")
 
 
 def run_pe_check(L, q, samples, seed=0, threads=None, allow_large=False):
     """Participation-entropy statistics of the constrained ensemble against
     the exact Dirichlet moments and the one-component Porter-Thomas law."""
     _budget_check(L, [q], allow_large)
-    threads = resolve_threads(threads)
     d = sector_dimension(L, q)
-    exp_id = f"pe:L={L}:q={q}"
-    args = [(seed, exp_id, L, q, lo, hi) for lo, hi in _chunk_ranges(samples)]
-    results = _parallel_chunks(_pe_chunk, args, threads)
+    rows, _ = _haar_draws(f"pe:L={L}:q={q}", samples, seed, threads, L, q,
+                          "z", _PE_OBS)
 
     records = []
     ipr_stats = SummaryStats()
     sh_stats = SummaryStats()
-    ws = np.empty(samples)
-    task = 0
-    for vals in results:
-        for ipr2, sh, w in vals:
-            records.append(RunRecord("pe-check", seed, task, L, q, "s2",
-                                     -math.log2(ipr2), aux1=float(w)))
-            records.append(RunRecord("pe-check", seed, task, L, q,
-                                     "shannon_pe", float(sh)))
-            ipr_stats.update(float(ipr2))
-            sh_stats.update(float(sh))
-            ws[task] = w
-            task += 1
+    for task, (ipr2, s2, sh, w) in enumerate(rows):
+        records.append(RunRecord("pe-check", seed, task, L, q, "s2",
+                                 float(s2), aux1=float(w)))
+        records.append(RunRecord("pe-check", seed, task, L, q,
+                                 "shannon_pe", float(sh)))
+        ipr_stats.update(ipr2)
+        sh_stats.update(sh)
 
     ipr_exact = float(pe_moment_mean(d, 2))
     sh_exact = pe_shannon_mean(d)
-    ks = scipy.stats.kstest(ws, lambda w: porter_thomas_cdf(w, d))
+    # the Porter-Thomas law of a one-state sector is a point mass at w = 1
+    ks = (None if samples < 2 or d == 1 else
+          scipy.stats.kstest(rows[:, 3], lambda w: porter_thomas_cdf(w, d)))
     summary = {
         "experiment": "pe-check",
         "seed": seed,
@@ -631,16 +631,16 @@ def run_pe_check(L, q, samples, seed=0, threads=None, allow_large=False):
         "ipr2": {
             "observed": ipr_stats.to_dict(),
             "exact_mean": ipr_exact,
-            "mean_z": (ipr_stats.mean - ipr_exact) / ipr_stats.sem,
+            "mean_z": _z_score(ipr_stats, ipr_exact, d),
         },
         "shannon_pe": {
             "observed": sh_stats.to_dict(),
             "exact_mean": sh_exact,
-            "mean_z": (sh_stats.mean - sh_exact) / sh_stats.sem,
+            "mean_z": _z_score(sh_stats, sh_exact, d),
         },
         "porter_thomas": {
-            "ks_statistic": float(ks.statistic),
-            "ks_pvalue": float(ks.pvalue),
+            "ks_statistic": None if ks is None else float(ks.statistic),
+            "ks_pvalue": None if ks is None else float(ks.pvalue),
         },
     }
     return records, summary

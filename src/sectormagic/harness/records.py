@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 #: value column tags
-OBSERVABLES = ("xi2", "m2", "s2", "shannon_pe", "energy")
+OBSERVABLES = ("xi2", "m2", "s2", "shannon_pe")
 
 CSV_HEADER = "experiment,seed,task,L,q,observable,value,aux1,aux2"
 
@@ -103,5 +103,6 @@ def _jsonable(obj):
 
 def write_summary(summary: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")

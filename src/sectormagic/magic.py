@@ -53,7 +53,13 @@ def _check_normalized(state: np.ndarray):
 
 def fwht_last_axis(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, in place,
-    with no temporary allocations (three in-place ufunc passes per level)."""
+    with no temporary allocations (three in-place ufunc passes per level).
+
+    The input must be C-contiguous: reshaping any other layout copies, and
+    the transform would land in the copy.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("fwht_last_axis needs a C-contiguous array")
     n = a.shape[-1]
     h = 1
     while h < n:

@@ -24,7 +24,6 @@ __all__ = [
     "GaussianStream",
     "haar_state",
     "constrained_haar_state",
-    "constrained_haar_state_direct",
 ]
 
 log = logging.getLogger(__name__)
@@ -106,16 +105,6 @@ def _sector_or_raise(L: int, q: int) -> SectorBasisMap:
 
         raise SectorError(f"empty sector: L={L}, q={q}")
     return basis
-
-
-def constrained_haar_state_direct(L: int, q: int, seed) -> np.ndarray:
-    """Sector-q random state sampled directly: d_q complex Gaussians placed
-    on the sector basis, normalized (z frame)."""
-    basis = _sector_or_raise(L, q)
-    stream = _as_stream(seed)
-    coeffs = stream.complex_normals(basis.dimension)
-    coeffs /= np.linalg.norm(coeffs)
-    return basis.embed(coeffs)
 
 
 def constrained_haar_state(

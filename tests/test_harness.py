@@ -399,6 +399,78 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 3 and "contract" in err
 
 
+def _strict_json(text):
+    """Parse CLI output, rejecting the NaN / Infinity extensions."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _refused(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_cli_degenerate_inputs_refused_up_front(capsys):
+    for argv in (["sample", "--L", "4", "--samples", "0"],
+                 ["variance-convergence", "--L", "4", "--samples", "0"],
+                 ["mixed", "--L", "4", "--theta", "0.3", "--samples", "0"],
+                 ["pe-check", "--L", "4", "--samples", "-1"],
+                 ["csyk", "--L", "4", "--realizations", "0"],
+                 ["self-averaging", "--L", "4", "--realizations", "0"],
+                 ["self-averaging", "--L", "4", "--fraction", "0"]):
+        _refused(capsys, argv + ["--seed", "0", "--threads", "1"])
+    # an empty mid-spectrum band is known before any diagonalization
+    err = _refused(capsys, ["self-averaging", "--L", "4", "--L", "6",
+                            "--fraction", "0.01", "--threads", "1"])
+    assert "keeps no eigenstate" in err and "L=4" in err
+
+
+def test_cli_one_state_sector_gives_null_statistics(capsys):
+    code, out, _ = run_cli(capsys, ["variance-convergence", "--L", "4",
+                                    "--q", "4", "--samples", "5",
+                                    "--threads", "1"])
+    assert code == 0
+    for row in _strict_json(out)["sectors"]["4"]["checkpoints"]:
+        assert row["mean_z"] is None and row["variance_ratio"] is None
+    code, out, _ = run_cli(capsys, ["pe-check", "--L", "4", "--q", "4",
+                                    "--samples", "5", "--threads", "1"])
+    assert code == 0
+    data = _strict_json(out)
+    assert data["dimension"] == 1
+    assert data["ipr2"]["mean_z"] is None
+    assert data["shannon_pe"]["mean_z"] is None
+    assert data["porter_thomas"] == {"ks_statistic": None, "ks_pvalue": None}
+
+
+def test_cli_single_sample_gives_null_statistics(capsys):
+    code, out, _ = run_cli(capsys, ["pe-check", "--L", "4", "--samples", "1",
+                                    "--threads", "1"])
+    assert code == 0
+    data = _strict_json(out)
+    assert data["ipr2"]["mean_z"] is None
+    assert data["shannon_pe"]["mean_z"] is None
+    assert data["porter_thomas"]["ks_pvalue"] is None
+    code, out, _ = run_cli(capsys, ["mixed", "--L", "4", "--theta", "0.4",
+                                    "--samples", "1", "--threads", "1"])
+    assert code == 0
+    assert _strict_json(out)["sweep"][0]["mean_z"] is None
+    code, out, _ = run_cli(capsys, ["self-averaging", "--L", "4", "--L", "6",
+                                    "--realizations", "1", "--fraction",
+                                    "0.3", "--threads", "1"])
+    assert code == 0
+    data = _strict_json(out)
+    assert [s["relative_variance"] for s in data["sizes"]] == [None, None]
+    assert data["monotone_decreasing"] is None
+
+
+def test_summary_writer_rejects_nan(tmp_path):
+    with pytest.raises(ValueError):
+        write_summary({"x": float("nan")}, tmp_path / "s.json")
+
+
 def test_cli_collapse(capsys):
     code, out, _ = run_cli(
         capsys, ["collapse", "--L", "32", "--L", "64", "--s", "0.5"])

@@ -44,6 +44,22 @@ def test_fwht_matches_hadamard_matrix():
     np.testing.assert_allclose(fwht_last_axis(got.copy()) / 8.0, v, atol=1e-12)
 
 
+def test_fwht_rejects_non_contiguous_input():
+    """A transposed view would be reshaped into a copy: the transform would
+    leave the input unchanged, so the kernel refuses it."""
+    x = np.random.default_rng(1).normal(size=(8, 3, 16)) + 0j
+    view = np.transpose(x, (1, 0, 2))
+    before = view.copy()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fwht_last_axis(view)
+    np.testing.assert_array_equal(view, before)
+    contiguous = np.ascontiguousarray(view)
+    H1 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    H = np.kron(np.kron(np.kron(H1, H1), H1), H1)
+    np.testing.assert_allclose(fwht_last_axis(contiguous), before @ H.T,
+                               atol=1e-12)
+
+
 def test_fast_equals_bruteforce_on_random_states():
     for L in (1, 2, 3, 4):
         for seed in (1, 2):

@@ -10,7 +10,6 @@ from sectormagic import (
     apply_frame_rotation,
     charge_expectation,
     constrained_haar_state,
-    constrained_haar_state_direct,
     enumerate_sector,
     haar_state,
     stabilizer_purity_fast,
@@ -96,17 +95,11 @@ def test_one_dimensional_sector_is_basis_state():
     assert abs(abs(psi[0]) - 1.0) < 1e-12
 
 
-def test_direct_helper_matches_direct_method():
-    a = constrained_haar_state_direct(5, 1, seed=123)
-    b = constrained_haar_state(5, 1, frame="z", seed=123, method="direct")
-    np.testing.assert_array_equal(a, b)
-
-
 def test_empty_sector_and_bad_arguments():
     with pytest.raises(SectorError):
         constrained_haar_state(4, 1, seed=0)
     with pytest.raises(SectorError):
-        constrained_haar_state_direct(3, 5, seed=0)
+        constrained_haar_state(3, 5, seed=0, method="direct")
     with pytest.raises(ValueError):
         constrained_haar_state(4, 0, seed=0, method="nope")
     with pytest.raises(ValueError):
