@@ -58,7 +58,6 @@ from .magic import (
     pauli_spectrum,
     shannon_pe,
     stabilizer_entropy,
-    stabilizer_purity_bruteforce,
     stabilizer_purity_fast,
 )
 from .hamiltonians import (

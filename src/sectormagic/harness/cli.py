@@ -229,8 +229,6 @@ def _dispatch(command: str, cfg: ExperimentConfig):
                 window = 0.25
             else:
                 fraction = 0.1
-        elif window is not None:
-            fraction = None
         couplings = None
         if command == "xxz":
             couplings = _xxz_couplings(cfg)

@@ -1,8 +1,7 @@
 """Pauli-spectrum functionals of dense pure states: stabilizer purity and
-entropy (fast Walsh-Hadamard kernel plus a brute-force oracle) and
-participation entropies.
+entropy (Walsh-Hadamard kernel) and participation entropies.
 
-The fast kernel uses the identity
+The kernel uses the identity
 
     Xi_alpha = 2^{-L} sum_{a,b} |g_a(b)|^{2 alpha},
     g_a(b)   = sum_x (-1)^{b.x} conj(c_{x XOR a}) c_x,
@@ -24,15 +23,10 @@ __all__ = [
     "PauliSpectrumSummary",
     "pauli_spectrum",
     "stabilizer_purity_fast",
-    "stabilizer_purity_bruteforce",
     "stabilizer_entropy",
     "participation_entropy",
     "shannon_pe",
 ]
-
-#: Above this many qubits raw 4^L expectation lists are never materialized;
-#: only streamed accumulators and (optionally) a bounded histogram.
-HISTOGRAM_BINS_DEFAULT = 200
 
 _NORM_TOL = 1e-9
 
@@ -88,18 +82,15 @@ class PauliSpectrumSummary:
 def pauli_spectrum(
     state: np.ndarray,
     alphas=(2,),
-    mask_batch: int | None = None,
-    low_memory: bool = False,
     histogram_bins: int | None = None,
 ) -> PauliSpectrumSummary:
     """Compute Xi_alpha for each requested alpha in one pass over all 4^L
     Pauli strings.
 
-    mask_batch controls how many X-masks are transformed per vectorized
-    step; low_memory forces batch size 1 with preallocated buffers (peak
-    extra allocation below 3 * 2^L complex words).  A bounded histogram of
-    the |<P>|^2 values over [0, 1] is accumulated when histogram_bins is
-    given; the full 4^L list is never stored.
+    X-masks are transformed in batches of max(1, min(2^L, 2^21 / 2^L)), so
+    the working set is fixed at 2^21 Pauli strings once L >= 11.  A bounded
+    histogram of the |<P>|^2 values over [0, 1] is accumulated when
+    histogram_bins is given; the full 4^L list is never stored.
     """
     psi = np.ascontiguousarray(state, dtype=np.complex128)
     L = _qubit_count(psi)
@@ -117,97 +108,41 @@ def pauli_spectrum(
         hist_edges = np.linspace(0.0, 1.0, histogram_bins + 1)
 
     idx0 = np.arange(n, dtype=np.int64)
-    if low_memory:
-        idx = np.empty(n, dtype=np.int64)
-        buf = np.empty(n, dtype=np.complex128)
-        pbuf = np.empty(n, dtype=np.float64)
-        for a_mask in range(n):
-            np.bitwise_xor(idx0, a_mask, out=idx)
-            np.take(psi, idx, out=buf)
-            np.conjugate(buf, out=buf)
-            buf *= psi
-            fwht_last_axis(buf)
-            np.abs(buf, out=pbuf)
-            pbuf *= pbuf  # |<P>|^2
-            for a in alphas:
-                if a == 2.0:
-                    acc[a] += float(pbuf @ pbuf)  # dot: no temporary
-                else:
-                    acc[a] += float(np.sum(pbuf ** a))
-            if hist_counts is not None:
-                # clamp the one-ulp overshoot of the identity string
-                np.minimum(pbuf, 1.0, out=pbuf)
-                c, _ = np.histogram(pbuf, bins=hist_edges)
-                hist_counts += c
-    else:
-        if mask_batch is None:
-            mask_batch = max(1, min(n, (1 << 21) // n))
-        for start in range(0, n, mask_batch):
-            masks = idx0[start : start + mask_batch]
-            gathered = psi[masks[:, None] ^ idx0[None, :]]
-            np.conjugate(gathered, out=gathered)
-            gathered *= psi[None, :]
-            fwht_last_axis(gathered)
-            p = np.abs(gathered)
-            np.multiply(p, p, out=p)
-            for a in alphas:
-                if a == 2.0:
-                    acc[a] += float(np.sum(p * p))
-                else:
-                    acc[a] += float(np.sum(p ** a))
-            if hist_counts is not None:
-                np.minimum(p, 1.0, out=p)
-                c, _ = np.histogram(p, bins=hist_edges)
-                hist_counts += c
+    batch = max(1, min(n, (1 << 21) // n))
+    for start in range(0, n, batch):
+        masks = idx0[start : start + batch]
+        gathered = psi[masks[:, None] ^ idx0[None, :]]
+        np.conjugate(gathered, out=gathered)
+        gathered *= psi[None, :]
+        fwht_last_axis(gathered)
+        p = np.abs(gathered)
+        np.multiply(p, p, out=p)  # |<P>|^2
+        for a in alphas:
+            if a == 2.0:
+                acc[a] += float(np.sum(p * p))
+            else:
+                acc[a] += float(np.sum(p ** a))
+        if hist_counts is not None:
+            # clamp the one-ulp overshoot of the identity string
+            np.minimum(p, 1.0, out=p)
+            c, _ = np.histogram(p, bins=hist_edges)
+            hist_counts += c
 
     purities = {a: acc[a] / n for a in alphas}
     histogram = (hist_counts, hist_edges) if hist_counts is not None else None
     return PauliSpectrumSummary(L=L, purities=purities, histogram=histogram)
 
 
-def stabilizer_purity_fast(state: np.ndarray, alpha=2, **kwargs) -> float:
+def stabilizer_purity_fast(state: np.ndarray, alpha=2) -> float:
     """Xi_alpha via the Walsh-Hadamard kernel."""
-    return pauli_spectrum(state, (alpha,), **kwargs).purity(alpha)
+    return pauli_spectrum(state, (alpha,)).purity(alpha)
 
 
-_PAULI = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
-
-def _pauli_matrix(L: int, a_mask: int, b_mask: int) -> np.ndarray:
-    """Hermitian Pauli string as a dense matrix; qubit 0 acts on the least
-    significant bit, so the Kronecker chain runs from qubit L-1 down."""
-    out = np.ones((1, 1), dtype=complex)
-    for j in range(L - 1, -1, -1):
-        out = np.kron(out, _PAULI[((a_mask >> j) & 1, (b_mask >> j) & 1)])
-    return out
-
-
-def stabilizer_purity_bruteforce(state: np.ndarray, alpha=2) -> float:
-    """Reference Xi_alpha from explicit Pauli matrices; refuses L > 6."""
-    psi = np.asarray(state, dtype=complex)
-    L = _qubit_count(psi)
-    if L > 6:
-        raise ValueError(f"brute force limited to L <= 6 (got {L}); cost 4^L")
-    _check_normalized(psi)
-    total = 0.0
-    for a_mask in range(2 ** L):
-        for b_mask in range(2 ** L):
-            p = _pauli_matrix(L, a_mask, b_mask)
-            val = abs(np.vdot(psi, p @ psi))
-            total += val ** (2 * alpha)
-    return total / 2 ** L
-
-
-def stabilizer_entropy(state: np.ndarray, alpha=2, **kwargs) -> float:
+def stabilizer_entropy(state: np.ndarray, alpha=2) -> float:
     """M_alpha = log2(Xi_alpha) / (1 - alpha); non-negative for pure states."""
     if alpha == 1:
         raise ValueError("alpha = 1 is the degenerate (Shannon) index")
-    xi = stabilizer_purity_fast(state, alpha, **kwargs)
+    xi = stabilizer_purity_fast(state, alpha)
     return math.log2(xi) / (1 - alpha)
 
 

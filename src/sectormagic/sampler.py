@@ -12,7 +12,6 @@ rejection and parallel tasks are bit-reproducible.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "haar_state",
     "constrained_haar_state",
 ]
-
-log = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -107,49 +104,16 @@ def _sector_or_raise(L: int, q: int) -> SectorBasisMap:
     return basis
 
 
-def constrained_haar_state(
-    L: int, q: int, frame="z", seed=0, method: str = "direct"
-) -> np.ndarray:
+def constrained_haar_state(L: int, q: int, frame="z", seed=0) -> np.ndarray:
     """Haar-random state constrained to charge sector q in the given frame.
 
-    frame: 'x' | 'y' | 'z' or a Direction.  method 'direct' draws d_q
-    Gaussians on the sector and rotates; 'project' draws a full Haar state,
-    projects onto the sector in the requested frame, and renormalizes.  The
-    two agree in distribution (unitary invariance of the Gaussian measure).
+    frame: 'x' | 'y' | 'z' or a Direction.  Draws d_q complex Gaussians on
+    the z-sector basis, normalizes, embeds, and rotates into the frame.
     """
     basis = _sector_or_raise(L, q)
-    stream = _as_stream(seed)
-    if method == "direct":
-        coeffs = stream.complex_normals(basis.dimension)
-        coeffs /= np.linalg.norm(coeffs)
-        psi = basis.embed(coeffs)
-        if frame != "z":
-            psi = apply_frame_rotation(psi, frame)
-        return psi
-    if method == "project":
-        for attempt in range(4):
-            psi = stream.complex_normals(2 ** L)
-            if frame != "z":
-                psi = apply_frame_rotation(psi, frame, inverse=True)
-            sector = psi[basis.states]
-            weight = float(np.sum(np.abs(sector) ** 2))
-            if weight > 1e-280:
-                out = basis.embed(sector / math.sqrt(weight))
-                if frame != "z":
-                    out = apply_frame_rotation(out, frame)
-                return out
-            # probability-zero sector weight: derive a fresh stream
-            log.warning(
-                "zero sector weight at L=%d q=%d, resampling (attempt %d)",
-                L, q, attempt + 1,
-            )
-            stream = GaussianStream(
-                int.from_bytes(
-                    hashlib.sha256(
-                        f"resample:{stream.key}:{attempt}".encode()
-                    ).digest()[:16],
-                    "little",
-                )
-            )
-        raise ArithmeticError("persistent zero sector weight")
-    raise ValueError(f"unknown method {method!r}")
+    coeffs = _as_stream(seed).complex_normals(basis.dimension)
+    coeffs /= np.linalg.norm(coeffs)
+    psi = basis.embed(coeffs)
+    if frame != "z":
+        psi = apply_frame_rotation(psi, frame)
+    return psi

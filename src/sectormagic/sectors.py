@@ -13,6 +13,7 @@ popcount (L-q)/2 (empty unless |q| <= L and L-q is even).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,13 +83,19 @@ class SectorBasisMap:
         return np.asarray(state)[self.states]
 
 
+@functools.cache
 def enumerate_sector(L: int, q: int) -> SectorBasisMap:
-    """All bitstrings of charge q, ascending. Empty sector -> empty map."""
-    d = sector_dimension(L, q)
-    if d == 0:
-        return SectorBasisMap(L, q, np.empty(0, dtype=np.int64))
-    xs = np.arange(2 ** L, dtype=np.int64)
-    states = xs[popcount(xs) == (L - q) // 2]
+    """All bitstrings of charge q, ascending. Empty sector -> empty map.
+
+    Memoized per (L, q): every caller shares one map, whose `states` array
+    is read-only.
+    """
+    if sector_dimension(L, q) == 0:
+        states = np.empty(0, dtype=np.int64)
+    else:
+        xs = np.arange(2 ** L, dtype=np.int64)
+        states = xs[popcount(xs) == (L - q) // 2]
+    states.flags.writeable = False
     return SectorBasisMap(L, q, states)
 
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from first principles with different
 algorithms than the package (permutation sums over the symmetric group,
-dense Kronecker Pauli matrices, direct trigonometric quadrature) so that
-agreement is meaningful.
+dense Kronecker Pauli matrices and frame rotations, direct trigonometric
+quadrature) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -79,13 +79,42 @@ def _pauli_stack(L: int) -> np.ndarray:
     ])
 
 
-def xi_alpha_reference(state: np.ndarray, alphas=(2,)) -> dict:
-    """Xi_alpha for several alphas from one dense sweep over all strings."""
+def pauli_moduli(state: np.ndarray) -> np.ndarray:
+    """|<P>| for all 4^L strings from one dense sweep, a-major then b."""
     psi = np.asarray(state, dtype=complex)
     L = psi.size.bit_length() - 1
-    mods = np.abs(np.einsum("i,kij,j->k", psi.conj(), _pauli_stack(L), psi))
-    return {alpha: float(np.sum(mods ** (2 * alpha)) / 2 ** L)
-            for alpha in alphas}
+    return np.abs(np.einsum("i,kij,j->k", psi.conj(), _pauli_stack(L), psi))
+
+
+def xi_alpha_reference(state: np.ndarray, alphas=(2,)) -> dict:
+    """Xi_alpha for several alphas from one dense sweep over all strings."""
+    mods = pauli_moduli(state)
+    n = np.asarray(state).size  # 2^L
+    return {alpha: float(np.sum(mods ** (2 * alpha)) / n) for alpha in alphas}
+
+
+# single-qubit U with U sigma^z U^dagger = sigma^frame
+_FRAME1 = {
+    "z": np.eye(2, dtype=complex),
+    "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "y": np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2.0),
+}
+
+
+def project_to_sector(psi: np.ndarray, q: int, frame: str = "z") -> np.ndarray:
+    """Normalized projection of a full state onto the charge-q sector of
+    the frame axis: rotate to z with the dense U^{(x) L}, keep the sector
+    bitstrings, rotate back."""
+    psi = np.asarray(psi, dtype=complex)
+    L = psi.size.bit_length() - 1
+    U = np.ones((1, 1), dtype=complex)
+    for _ in range(L):
+        U = np.kron(U, _FRAME1[frame])
+    z = U.conj().T @ psi
+    kept = np.zeros_like(z)
+    xs = sector_states(L, q)
+    kept[xs] = z[xs]
+    return U @ (kept / np.linalg.norm(kept))
 
 
 def pauli_sector_block(L: int, q: int, a: int, b: int) -> np.ndarray:

@@ -428,6 +428,17 @@ def test_cli_degenerate_inputs_refused_up_front(capsys):
     assert "keeps no eigenstate" in err and "L=4" in err
 
 
+def test_cli_window_and_fraction_together_refused(capsys):
+    """Both band selectors at once is ambiguous: exit 2, not a silently
+    dropped --fraction."""
+    for argv in (["csyk", "--q", "0"], ["xxz", "--q", "0"], ["mfim"]):
+        err = _refused(capsys, argv + ["--L", "4", "--window", "0.5",
+                                       "--fraction", "0.1",
+                                       "--realizations", "1",
+                                       "--threads", "1"])
+        assert "exactly one of window / fraction" in err
+
+
 def test_cli_one_state_sector_gives_null_statistics(capsys):
     code, out, _ = run_cli(capsys, ["variance-convergence", "--L", "4",
                                     "--q", "4", "--samples", "5",

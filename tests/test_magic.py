@@ -12,7 +12,6 @@ from sectormagic import (
     pauli_spectrum,
     shannon_pe,
     stabilizer_entropy,
-    stabilizer_purity_bruteforce,
     stabilizer_purity_fast,
 )
 from sectormagic.magic import fwht_last_axis
@@ -61,13 +60,15 @@ def test_fwht_rejects_non_contiguous_input():
 
 
 def test_fast_equals_bruteforce_on_random_states():
+    """The kernel against the dense sweep over all 4^L Pauli matrices."""
     for L in (1, 2, 3, 4):
         for seed in (1, 2):
             psi = haar_state(L, seed=seed)
+            brute = oracles.xi_alpha_reference(psi, alphas=(2, 3))
             for alpha in (2, 3):
                 fast = stabilizer_purity_fast(psi, alpha)
-                brute = stabilizer_purity_bruteforce(psi, alpha)
-                assert fast == pytest.approx(brute, abs=1e-12), (L, seed, alpha)
+                assert fast == pytest.approx(brute[alpha], abs=1e-12), (
+                    L, seed, alpha)
 
 
 def test_parseval_alpha_one():
@@ -88,8 +89,9 @@ def test_magic_free_states():
 
 
 def test_t_state_tensor_powers():
-    """Xi_2(T^L) = (3/4)^L and Xi_3(T^L) = (5/8)^L; M_2 additive."""
-    for L in (1, 2, 3, 5):
+    """Xi_2(T^L) = (3/4)^L and Xi_3(T^L) = (5/8)^L; M_2 additive.  L = 11
+    runs the kernel over two batches of 1024 X-masks."""
+    for L in (1, 2, 3, 5, 11):
         psi = t_state(L)
         assert stabilizer_purity_fast(psi, 2) == pytest.approx(0.75 ** L, rel=1e-10)
         assert stabilizer_purity_fast(psi, 3) == pytest.approx(0.625 ** L, rel=1e-10)
@@ -122,12 +124,6 @@ def test_multi_alpha_single_pass_and_batching():
     ref2 = oracles.xi_alpha_reference(psi, alphas=(2, 3))
     assert summary.purity(2) == pytest.approx(ref2[2], abs=1e-11)
     assert summary.purity(3) == pytest.approx(ref2[3], abs=1e-11)
-    for mb in (1, 3, 32):
-        s = pauli_spectrum(psi, alphas=(2,), mask_batch=mb)
-        assert s.purity(2) == pytest.approx(summary.purity(2), abs=1e-12)
-    slow = pauli_spectrum(psi, alphas=(2, 3), low_memory=True)
-    assert slow.purity(2) == pytest.approx(summary.purity(2), abs=1e-12)
-    assert slow.purity(3) == pytest.approx(summary.purity(3), abs=1e-12)
 
 
 def test_histogram_counts_all_strings():
@@ -137,9 +133,9 @@ def test_histogram_counts_all_strings():
     counts, edges = s.histogram
     assert counts.sum() == 4 ** L
     assert edges[0] == 0.0 and edges[-1] == 1.0
-    # histogram agrees between code paths
-    s2 = pauli_spectrum(psi, alphas=(2,), histogram_bins=50, low_memory=True)
-    np.testing.assert_array_equal(s2.histogram[0], counts)
+    # bin by bin against the dense sweep (the identity string clamped to 1)
+    ref = np.minimum(oracles.pauli_moduli(psi) ** 2, 1.0)
+    np.testing.assert_array_equal(np.histogram(ref, bins=edges)[0], counts)
     # moment reconstructed from the histogram approximates Xi_2
     mids = 0.5 * (edges[1:] + edges[:-1])
     approx = float(np.sum(counts * mids ** 2)) / 2 ** L
@@ -168,23 +164,22 @@ def test_input_validation():
         pauli_spectrum(haar_state(2, 0), alphas=(0.5,))
     with pytest.raises(ValueError):
         stabilizer_entropy(haar_state(2, 0), alpha=1)
-    with pytest.raises(ValueError):
-        stabilizer_purity_bruteforce(haar_state(7, 0))
 
 
-def test_low_memory_peak_allocation():
-    """Streaming path allocates a fixed handful of 2^L-sized buffers (about
-    four complex words per amplitude), never the 4^L spectrum."""
-    L = 12
-    psi = haar_state(L, seed=2)
-    n = 2 ** L
-    stabilizer_purity_fast(psi, 2, low_memory=True)  # warm up
-    tracemalloc.start()
-    stabilizer_purity_fast(psi, 2, low_memory=True)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert peak < 5 * n * 16
-    assert peak < (4 ** L) * 8 / 100  # two orders below a materialized spectrum
+def test_kernel_working_set_is_fixed():
+    """From L = 11 on the kernel transforms 2^21 Pauli strings per batch,
+    so its peak allocation stops growing with L and stays below the 4^L
+    spectrum it never materializes."""
+    states = [haar_state(L, seed=2) for L in (11, 12)]
+    pauli_spectrum(states[0], (2,), histogram_bins=200)  # warm up
+    peaks = []
+    for psi in states:
+        tracemalloc.start()
+        pauli_spectrum(psi, (2,), histogram_bins=200)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
+    assert peaks[1] < (4 ** 12) * 8
 
 
 def test_entropy_hierarchy_and_pe_bound():

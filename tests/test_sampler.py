@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sectormagic import (
     GaussianStream,
     SectorError,
@@ -79,13 +80,18 @@ def test_constrained_state_support_and_charge():
 
 def test_constrained_state_in_rotated_frame():
     L, q = 5, 1
-    psi = constrained_haar_state(L, q, frame="x", seed=77)
-    assert charge_expectation(psi, "x") == pytest.approx(q, abs=1e-12)
-    back = apply_frame_rotation(psi, "x", inverse=True)
     basis = enumerate_sector(L, q)
     off = np.ones(2 ** L, dtype=bool)
     off[basis.states] = False
-    assert np.max(np.abs(back[off])) < 1e-12
+    for frame in ("x", "y"):
+        psi = constrained_haar_state(L, q, frame=frame, seed=77)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        assert charge_expectation(psi, frame) == pytest.approx(q, abs=1e-12)
+        # already in the frame sector: the dense projection leaves it alone
+        np.testing.assert_allclose(oracles.project_to_sector(psi, q, frame),
+                                   psi, atol=1e-12)
+        back = apply_frame_rotation(psi, frame, inverse=True)
+        assert np.max(np.abs(back[off])) < 1e-12
 
 
 def test_one_dimensional_sector_is_basis_state():
@@ -99,32 +105,23 @@ def test_empty_sector_and_bad_arguments():
     with pytest.raises(SectorError):
         constrained_haar_state(4, 1, seed=0)
     with pytest.raises(SectorError):
-        constrained_haar_state(3, 5, seed=0, method="direct")
-    with pytest.raises(ValueError):
-        constrained_haar_state(4, 0, seed=0, method="nope")
+        constrained_haar_state(3, 5, seed=0)
     with pytest.raises(ValueError):
         constrained_haar_state(4, 0, frame="w", seed=0)
 
 
 def test_projection_sampling_agrees_with_direct():
-    """Projecting full Haar states onto the sector gives the same ensemble;
-    compare mean purity at 4 combined standard errors."""
+    """Projecting full Gaussian vectors onto the sector (the test oracle)
+    gives the same ensemble as the direct sampler; compare mean purity at
+    4 combined standard errors."""
     L, q, n = 3, 1, 400
     pol = SeedPolicy(99)
     vd = np.empty(n)
     vp = np.empty(n)
     for i in range(n):
         vd[i] = stabilizer_purity_fast(
-            constrained_haar_state(L, q, seed=pol.stream("d", i), method="direct")
-        )
-        vp[i] = stabilizer_purity_fast(
-            constrained_haar_state(L, q, seed=pol.stream("p", i), method="project")
-        )
+            constrained_haar_state(L, q, seed=pol.stream("d", i)))
+        full = pol.stream("p", i).complex_normals(2 ** L)
+        vp[i] = stabilizer_purity_fast(oracles.project_to_sector(full, q))
     se = math.sqrt(vd.var(ddof=1) / n + vp.var(ddof=1) / n)
     assert abs(vd.mean() - vp.mean()) < 4.0 * se
-
-
-def test_projection_in_frame_preserves_frame_charge():
-    psi = constrained_haar_state(4, 2, frame="y", seed=31, method="project")
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-    assert charge_expectation(psi, "y") == pytest.approx(2.0, abs=1e-12)

@@ -46,6 +46,16 @@ def test_enumerate_sector_matches_bruteforce():
             assert np.all(np.diff(basis.states) > 0) or basis.dimension < 2
 
 
+def test_enumerate_sector_is_shared_and_read_only():
+    """One map per (L, q); its basis cannot be corrupted through a caller."""
+    basis = enumerate_sector(6, 2)
+    assert enumerate_sector(6, 2) is basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis.states[0] = 0
+    assert list(basis.states) == oracles.sector_states(6, 2)
+    assert enumerate_sector(6, 1).states.flags.writeable is False  # empty
+
+
 def test_basis_map_roundtrip():
     basis = enumerate_sector(5, 1)
     for i, x in enumerate(basis.states):
