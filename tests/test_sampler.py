@@ -125,3 +125,17 @@ def test_projection_sampling_agrees_with_direct():
         vp[i] = stabilizer_purity_fast(oracles.project_to_sector(full, q))
     se = math.sqrt(vd.var(ddof=1) / n + vp.var(ddof=1) / n)
     assert abs(vd.mean() - vp.mean()) < 4.0 * se
+
+
+def test_projection_in_frame_preserves_frame_charge():
+    """Projecting onto the y-frame sector (the test oracle) gives a unit
+    vector of frame charge q, and the sampler's y-frame state is one."""
+    L, q = 4, 2
+    full = SeedPolicy(31).stream("p", 0).complex_normals(2 ** L)
+    proj = oracles.project_to_sector(full, q, "y")
+    psi = constrained_haar_state(L, q, frame="y", seed=31)
+    for v in (proj, psi):
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert charge_expectation(v, "y") == pytest.approx(float(q), abs=1e-12)
+    np.testing.assert_allclose(oracles.project_to_sector(psi, q, "y"), psi,
+                               atol=1e-12)
