@@ -63,7 +63,7 @@ from .magic import (
 from .hamiltonians import (
     CouplingTensor,
     EigenSystem,
-    HamiltonianMatrix,
+    Hamiltonian,
     build_csyk,
     build_mfim,
     build_xxz_nnn,

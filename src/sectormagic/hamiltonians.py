@@ -1,38 +1,41 @@
-"""Dense spin-chain and complex-fermion Hamiltonians with a conserved (or
-deliberately broken) U(1) charge, plus sector extraction and a checked
-eigensolver.
+"""Spin-chain and complex-fermion Hamiltonians with a conserved (or
+deliberately broken) U(1) charge, assembled block by block on the sector
+basis, plus a checked eigensolver.
 
 Models
 ------
-csyk     complex SYK_4: H = 4 (2L)^{-3/2} sum_{i<j, k<l} J_{ij;kl}
-         cdag_i cdag_j c_k c_l on L fermion modes, J Hermitian in the
-         pair indices, mapped to qubits by Jordan-Wigner.  Charge
-         Q = 2 N_f - L.
-xxz_nnn  open XXZ chain with a three-site ZZZ coupling, boundary z
-         fields of opposite sign, and an optional transverse field that
-         breaks the U(1).  Charge q = L - 2 N_down (z magnetization).
-mfim     mixed-field Ising chain (no conserved charge).
+csyk  complex SYK_4: H = 4 (2L)^{-3/2} sum_{i<j, k<l} J_{ij;kl}
+      cdag_i cdag_j c_k c_l on L fermion modes, J Hermitian in the pair
+      indices, mapped to qubits by Jordan-Wigner.  Charge Q = 2 N_f - L.
+xxz   open XXZ chain with a three-site ZZZ coupling, boundary z fields of
+      opposite sign, and an optional transverse field that breaks the
+      U(1).  Charge q = L - 2 N_down (z magnetization).
+mfim  mixed-field Ising chain (no conserved charge).
 
+A builder only fixes the couplings; extract_sector_block assembles the
+charge-q block on the sector's basis states (q=None: all 2^L states).
 Qubit 0 is the least significant bit of the basis index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .sectors import SectorBasisMap
+from .sectors import SectorBasisMap, enumerate_sector
 from .sampler import GaussianStream, SeedPolicy
 
 __all__ = [
     "NumericalContractError",
     "CouplingTensor",
-    "HamiltonianMatrix",
+    "Hamiltonian",
     "EigenSystem",
+    "L_RANGE",
     "build_csyk",
     "build_xxz_nnn",
     "build_mfim",
@@ -46,10 +49,13 @@ __all__ = [
 _HERMITICITY_TOL = 1e-12
 _EIG_TOL = 1e-10
 
+#: smallest and largest L each model's builder accepts
+L_RANGE = {"csyk": (2, 14), "xxz": (2, math.inf), "mfim": (2, math.inf)}
+
 
 class NumericalContractError(RuntimeError):
-    """A numerical post-condition (Hermiticity, residual, orthonormality)
-    failed beyond tolerance."""
+    """A numerical post-condition (Hermiticity, residual, orthonormality,
+    charge conservation) failed beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -67,23 +73,14 @@ class CouplingTensor:
 
 
 @dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense Hamiltonian with its model tag and diagonal charge (or None)."""
+class Hamiltonian:
+    """One operator of a model: the spin-chain couplings (params) or the
+    csyk coupling tensor, never a matrix."""
 
-    matrix: np.ndarray
-    L: int
     model: str
-    charge_diag: np.ndarray | None = None  # length 2^L integer charges
+    L: int
+    params: dict = field(default_factory=dict)
     couplings: CouplingTensor | None = None
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def charges(self) -> np.ndarray:
-        if self.charge_diag is None:
-            raise ValueError(f"model {self.model!r} has no conserved charge")
-        return self.charge_diag
 
 
 @dataclass(frozen=True)
@@ -99,66 +96,17 @@ class EigenSystem:
         return self.values.size
 
 
-def _as_stream(seed) -> GaussianStream:
-    if isinstance(seed, GaussianStream):
-        return seed
-    return SeedPolicy(int(seed)).stream("hamiltonian", 0)
+def _check_L(model: str, L: int):
+    lo, hi = L_RANGE[model]
+    if not lo <= L <= hi:
+        raise ValueError(f"{model} supports {lo} <= L <= {hi}, got {L}")
 
 
 # ---------------------------------------------------------------------------
-# complex SYK
+# builders
 # ---------------------------------------------------------------------------
 
-_CSYK_INDEX_CACHE: dict = {}
-
-
-def _fermion_sign(x: int, site: int) -> int:
-    """Jordan-Wigner string (-1)^{n_0 + ... + n_{site-1}} evaluated on x."""
-    return -1 if bin(x & ((1 << site) - 1)).count("1") & 1 else 1
-
-
-def _csyk_index_maps(L: int):
-    """Sparse assembly maps for the two-body term: for every basis state and
-    every ((i<j), (k<l)) with k, l occupied and i, j free after removal,
-    record row, column, fermionic sign and the flat coupling index."""
-    cached = _CSYK_INDEX_CACHE.get(L)
-    if cached is not None:
-        return cached
-    pairs = tuple(itertools.combinations(range(L), 2))
-    pair_pos = {p: n for n, p in enumerate(pairs)}
-    P = len(pairs)
-    rows, cols, signs, cidx = [], [], [], []
-    for x in range(2 ** L):
-        occ = [m for m in range(L) if (x >> m) & 1]
-        for k, l in itertools.combinations(occ, 2):
-            # annihilate l then k (rightmost operator first)
-            s0 = _fermion_sign(x, l)
-            y0 = x ^ (1 << l)
-            s0 *= _fermion_sign(y0, k)
-            y0 ^= 1 << k
-            col_pair = pair_pos[(k, l)]
-            free = [m for m in range(L) if not (y0 >> m) & 1]
-            for i, j in itertools.combinations(free, 2):
-                s = s0 * _fermion_sign(y0, j)
-                y = y0 ^ (1 << j)
-                s *= _fermion_sign(y, i)
-                y ^= 1 << i
-                rows.append(y)
-                cols.append(x)
-                signs.append(s)
-                cidx.append(pair_pos[(i, j)] * P + col_pair)
-    maps = (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(signs, dtype=np.float64),
-        np.asarray(cidx, dtype=np.int64),
-        pairs,
-    )
-    _CSYK_INDEX_CACHE[L] = maps
-    return maps
-
-
-def build_csyk(L: int, seed=0) -> HamiltonianMatrix:
+def build_csyk(L: int, seed=0) -> Hamiltonian:
     """Draw one complex-SYK realization on L modes.
 
     The pair-basis coupling matrix is J = (G + Gdag)/sqrt(2) with G iid
@@ -166,43 +114,19 @@ def build_csyk(L: int, seed=0) -> HamiltonianMatrix:
     entries have unit mean square modulus and diagonal entries are real
     N(0, 1).  Prefactor 4 (2L)^{-3/2}.
     """
-    if not 2 <= L <= 14:
-        raise ValueError(f"csyk supports 2 <= L <= 14, got {L}")
-    stream = _as_stream(seed)
-    rows, cols, signs, cidx, pairs = _csyk_index_maps(L)
+    _check_L("csyk", L)
+    if not isinstance(seed, GaussianStream):
+        seed = SeedPolicy(int(seed)).stream("hamiltonian", 0)
+    pairs = tuple(itertools.combinations(range(L), 2))
     P = len(pairs)
-    g = stream.complex_normals(P * P).reshape(P, P)
+    g = seed.complex_normals(P * P).reshape(P, P)
     J = (g + g.conj().T) / math.sqrt(2.0)
-    coupling = CouplingTensor(L=L, pairs=pairs, values=J)
-
-    dim = 2 ** L
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    np.add.at(H, (rows, cols), signs * J.reshape(-1)[cidx])
-    H *= 4.0 * (2 * L) ** -1.5
-
-    delta = float(np.max(np.abs(H - H.conj().T)))
-    if delta > _HERMITICITY_TOL:
-        raise NumericalContractError(f"csyk assembly non-Hermitian by {delta}")
-    H = (H + H.conj().T) / 2
-
-    states = np.arange(dim, dtype=np.int64)
-    charge = 2 * np.bitwise_count(states).astype(np.int64) - L
-    return HamiltonianMatrix(matrix=H, L=L, model="csyk",
-                             charge_diag=charge, couplings=coupling)
-
-
-# ---------------------------------------------------------------------------
-# spin chains
-# ---------------------------------------------------------------------------
-
-def _z_diagonals(L: int) -> np.ndarray:
-    """(L, 2^L) array of sigma^z eigenvalues: bit 0 -> +1, bit 1 -> -1."""
-    states = np.arange(2 ** L, dtype=np.int64)
-    return 1.0 - 2.0 * ((states[None, :] >> np.arange(L)[:, None]) & 1)
+    return Hamiltonian("csyk", L,
+                       couplings=CouplingTensor(L=L, pairs=pairs, values=J))
 
 
 def build_xxz_nnn(L: int, J1=1.0, delta=0.5, J2=0.0, h_b=0.0,
-                  h_x=0.0) -> HamiltonianMatrix:
+                  h_x=0.0) -> Hamiltonian:
     """Open XXZ chain with a three-site ZZZ term and boundary pinning:
 
         H = sum_j [J1 (X_j X_{j+1} + Y_j Y_{j+1}) + delta Z_j Z_{j+1}]
@@ -211,86 +135,150 @@ def build_xxz_nnn(L: int, J1=1.0, delta=0.5, J2=0.0, h_b=0.0,
 
     The odd-Z triple term breaks global spin flip, and h_b breaks
     inversion, so no discrete symmetry survives inside a magnetization
-    sector.  h_x != 0 breaks the U(1) itself; the charge diagonal is still
-    attached and sector extraction then fails its conservation check.
+    sector.  h_x != 0 breaks the U(1) itself: only the full space (q=None)
+    can then be assembled, and a sector request fails its conservation
+    check.
     """
-    if L < 2:
-        raise ValueError(f"xxz_nnn needs L >= 2, got {L}")
-    dim = 2 ** L
-    z = _z_diagonals(L)
-    diag = np.zeros(dim)
-    for j in range(L - 1):
-        diag += delta * z[j] * z[j + 1]
-    for j in range(L - 2):
-        diag += J2 * z[j] * z[j + 1] * z[j + 2]
-    diag += h_b * (z[0] - z[L - 1])
-
-    H = np.zeros((dim, dim))
-    np.fill_diagonal(H, diag)
-    states = np.arange(dim, dtype=np.int64)
-    for j in range(L - 1):
-        flip = np.nonzero(((states >> j) & 1) != ((states >> (j + 1)) & 1))[0]
-        H[flip ^ (3 << j), flip] += 2.0 * J1
-    if h_x != 0.0:
-        for j in range(L):
-            H[states ^ (1 << j), states] += h_x
-
-    charge = L - 2 * np.bitwise_count(states).astype(np.int64)
-    return HamiltonianMatrix(matrix=H, L=L, model="xxz_nnn",
-                             charge_diag=charge)
+    _check_L("xxz", L)
+    return Hamiltonian("xxz", L, params=dict(J1=J1, delta=delta, J2=J2,
+                                             h_b=h_b, h_x=h_x))
 
 
-def build_mfim(L: int, g=1.1, h=0.35, h1=0.25, hL=-0.25) -> HamiltonianMatrix:
+def build_mfim(L: int, g=1.1, h=0.35, h1=0.25, hL=-0.25) -> Hamiltonian:
     """Mixed-field Ising chain (open) with boundary longitudinal fields:
 
         H = sum_j Z_j Z_{j+1} + g sum_j X_j + h sum_j Z_j + h1 Z_0 + hL Z_{L-1}.
 
     Nonintegrable at the default couplings; no conserved charge.
     """
-    if L < 2:
-        raise ValueError(f"mfim needs L >= 2, got {L}")
-    dim = 2 ** L
-    z = _z_diagonals(L)
-    diag = h * z.sum(axis=0) + h1 * z[0] + hL * z[L - 1]
-    for j in range(L - 1):
-        diag += z[j] * z[j + 1]
-
-    H = np.zeros((dim, dim))
-    np.fill_diagonal(H, diag)
-    states = np.arange(dim, dtype=np.int64)
-    for j in range(L):
-        H[states ^ (1 << j), states] += g
-    return HamiltonianMatrix(matrix=H, L=L, model="mfim", charge_diag=None)
+    _check_L("mfim", L)
+    return Hamiltonian("mfim", L, params=dict(g=g, h=h, h1=h1, hL=hL))
 
 
 # ---------------------------------------------------------------------------
 # sectors and diagonalization
 # ---------------------------------------------------------------------------
 
-def extract_sector_block(H: HamiltonianMatrix, q: int):
-    """Restrict H to the charge-q sector.
-
-    Verifies [H, Q] = 0 exactly (every matrix element between states of
-    unequal charge must vanish) and returns (block, basis) where basis maps
-    sector positions back to full basis states.
-    """
-    charge = H.charges()
-    # chunked [H, Q] check: integer charges, so any off-sector element makes
-    # |H_xy (q_y - q_x)| >= |H_xy| and the max must be exactly zero
-    bad = 0.0
-    for lo in range(0, charge.size, 1024):
-        rows = slice(lo, min(lo + 1024, charge.size))
-        diff = np.abs(charge[None, :] - charge[rows, None]).astype(float)
-        bad = max(bad, float(np.max(np.abs(H.matrix[rows]) * diff)))
-    if bad != 0.0:
-        raise NumericalContractError(
-            f"charge not conserved: off-sector element {bad}")
-    states = np.nonzero(charge == q)[0]
+def _sector_basis(model: str, L: int, q) -> SectorBasisMap:
+    """Basis of the charge-q block; q=None is the full 2^L space."""
+    if q is None:
+        return SectorBasisMap(L=L, q=None,
+                              states=np.arange(2 ** L, dtype=np.int64))
+    if model == "mfim":
+        raise ValueError(f"model {model!r} has no conserved charge")
+    # the csyk charge 2 popcount - L is minus the z-charge of sectors.py
+    states = enumerate_sector(L, -q if model == "csyk" else q).states
     if states.size == 0:
-        raise ValueError(f"charge {q} absent for model {H.model!r} at L={H.L}")
-    block = np.ascontiguousarray(H.matrix[np.ix_(states, states)])
-    basis = SectorBasisMap(L=H.L, q=q, states=states.astype(np.int64))
-    return block, basis
+        raise ValueError(f"charge {q} absent for model {model!r} at L={L}")
+    return SectorBasisMap(L=L, q=q, states=states)
+
+
+def _positions(basis: SectorBasisMap, targets: np.ndarray) -> np.ndarray:
+    """Positions of target states in the basis; a target outside it means
+    the term does not conserve the charge."""
+    pos = np.minimum(np.searchsorted(basis.states, targets),
+                     basis.dimension - 1)
+    if np.any(basis.states[pos] != targets):
+        raise NumericalContractError(
+            f"charge not conserved: a term leaves the q={basis.q} sector "
+            f"at L={basis.L}")
+    return pos
+
+
+@functools.cache
+def _csyk_index_maps(L: int, q):
+    """Assembly maps of the two-body term on the csyk charge-q basis: for
+    every basis state x and every ((i<j), (k<l)) with k, l occupied in x
+    and i, j free after their removal, the row and column positions, the
+    fermionic sign and the flat coupling index (i, j) * P + (k, l).
+
+    Entries run by x, then (k, l), then (i, j), each ascending: the order
+    in which np.add.at accumulates duplicates, fixed so blocks are
+    reproducible bit for bit.
+    """
+    basis = _sector_basis("csyk", L, q)
+    lo, hi = np.array(list(itertools.combinations(range(L), 2)),
+                      dtype=np.int64).T
+    pbits = (1 << lo) | (1 << hi)
+    x = basis.states[:, None]
+    y0 = x ^ pbits  # c_k c_l applied, where both are occupied
+    cols, kl, ij = np.nonzero(((x & pbits) == pbits)[:, :, None]
+                              & ((y0[:, :, None] & pbits) == 0))
+    x, y0 = basis.states[cols], y0[cols, kl]
+    # annihilate l then k, create j then i: each Jordan-Wigner string
+    # counts the modes below its site (k < l, i < j keep the partner out)
+    below = (1 << np.arange(L)) - 1
+    strings = sum(np.bitwise_count(v & below[site]) for v, site in (
+        (x, hi[kl]), (x, lo[kl]), (y0, hi[ij]), (y0, lo[ij])))
+    maps = (_positions(basis, y0 | pbits[ij]), cols,
+            1.0 - 2.0 * (strings & 1), ij * lo.size + kl)
+    for a in maps:  # shared by every caller through the cache
+        a.flags.writeable = False
+    return maps
+
+
+def _csyk_block(H: Hamiltonian, basis: SectorBasisMap) -> np.ndarray:
+    rows, cols, signs, cidx = _csyk_index_maps(H.L, basis.q)
+    block = np.zeros((basis.dimension,) * 2, dtype=np.complex128)
+    np.add.at(block, (rows, cols),
+              signs * H.couplings.values.reshape(-1)[cidx])
+    block *= 4.0 * (2 * H.L) ** -1.5
+    delta = float(np.max(np.abs(block - block.conj().T)))
+    if delta > _HERMITICITY_TOL:
+        raise NumericalContractError(f"csyk assembly non-Hermitian by {delta}")
+    return (block + block.conj().T) / 2
+
+
+def _z(basis: SectorBasisMap) -> np.ndarray:
+    """(L, d) sigma^z eigenvalues of the basis states: bit 0 -> +1."""
+    return 1.0 - 2.0 * ((basis.states >> np.arange(basis.L)[:, None]) & 1)
+
+
+def _xxz_block(H: Hamiltonian, basis: SectorBasisMap) -> np.ndarray:
+    p, L, x = H.params, H.L, basis.states
+    z = _z(basis)
+    diag = np.zeros(x.size)
+    for j in range(L - 1):
+        diag += p["delta"] * z[j] * z[j + 1]
+    for j in range(L - 2):
+        diag += p["J2"] * z[j] * z[j + 1] * z[j + 2]
+    diag += p["h_b"] * (z[0] - z[L - 1])
+    block = np.diag(diag)
+    for j in range(L - 1):
+        cols = np.nonzero(((x >> j) & 1) != ((x >> (j + 1)) & 1))[0]
+        block[_positions(basis, x[cols] ^ (3 << j)), cols] += 2.0 * p["J1"]
+    if p["h_x"] != 0.0:
+        for j in range(L):
+            rows = _positions(basis, x ^ (1 << j))
+            block[rows, np.arange(x.size)] += p["h_x"]
+    return block
+
+
+def _mfim_block(H: Hamiltonian, basis: SectorBasisMap) -> np.ndarray:
+    p, L, x = H.params, H.L, basis.states
+    z = _z(basis)
+    diag = p["h"] * z.sum(axis=0) + p["h1"] * z[0] + p["hL"] * z[L - 1]
+    for j in range(L - 1):
+        diag += z[j] * z[j + 1]
+    block = np.diag(diag)
+    for j in range(L):
+        block[_positions(basis, x ^ (1 << j)), np.arange(x.size)] += p["g"]
+    return block
+
+
+_BLOCKS = {"csyk": _csyk_block, "xxz": _xxz_block, "mfim": _mfim_block}
+
+
+def extract_sector_block(H: Hamiltonian, q):
+    """The charge-q block of H, assembled on the sector basis; q=None gives
+    the full 2^L space.
+
+    Returns (block, basis) where basis maps block positions back to full
+    basis states.  A term that leaves the sector (xxz with h_x != 0) raises
+    NumericalContractError; an absent charge raises ValueError.
+    """
+    basis = _sector_basis(H.model, H.L, q)
+    return _BLOCKS[H.model](H, basis), basis
 
 
 def embed_eigenvector(v: np.ndarray, basis: SectorBasisMap) -> np.ndarray:

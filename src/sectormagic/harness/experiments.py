@@ -38,6 +38,7 @@ from ..asymptotics import XI_HESSIAN, asymptotic_prediction, nearest_sector_char
 from ..sampler import GaussianStream, SeedPolicy, constrained_haar_state
 from ..magic import pauli_spectrum, shannon_pe
 from ..hamiltonians import (
+    L_RANGE,
     adjacent_gap_ratio,
     build_csyk,
     build_mfim,
@@ -69,6 +70,7 @@ CHUNK = 64
 _L_CAP_DEFAULT = 12
 _L_CAP_LARGE = 14
 _SECTOR_DIM_CAP = 4000
+_BLOCK_DIM_CAP = 2 ** 14  # the largest block any builder ever accepted
 
 
 def resolve_threads(flag: int | None = None) -> int:
@@ -84,19 +86,26 @@ def resolve_threads(flag: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _budget_check(L: int, qs=(), allow_large: bool = False):
+def _size_check(Ls, qs, L_range, dim_cap: int, what: str):
+    """Refuse, before any work, an L outside L_range, an empty sector and
+    a block above dim_cap states (q None is the full 2^L space)."""
+    lo, hi = L_range
+    for L in Ls:
+        if not lo <= L <= hi:
+            raise ConfigError(f"{what} supports {lo} <= L <= {hi}, got L={L}")
+        for q in qs:
+            d = 2 ** L if q is None else sector_dimension(L, q)
+            if d == 0:
+                raise ConfigError(f"sector (L={L}, q={q}) is empty")
+            if d > dim_cap:
+                raise ConfigError(
+                    f"sector (L={L}, q={q}) has dimension {d} > {dim_cap}")
+
+
+def _budget_check(L: int, qs, allow_large: bool):
     cap = _L_CAP_LARGE if allow_large else _L_CAP_DEFAULT
-    if L > cap:
-        raise ConfigError(
-            f"L={L} exceeds the sampling cap {cap}"
-            + ("" if allow_large else " (pass allow_large to go to 14)"))
-    for q in qs:
-        d = sector_dimension(L, q)
-        if d == 0:
-            raise ConfigError(f"sector (L={L}, q={q}) is empty")
-        if d > _SECTOR_DIM_CAP:
-            raise ConfigError(
-                f"sector (L={L}, q={q}) has dimension {d} > {_SECTOR_DIM_CAP}")
+    _size_check([L], qs, (1, cap), _SECTOR_DIM_CAP,
+                "sampling" if allow_large else "sampling without allow_large")
 
 
 def _z_score(stats: SummaryStats, exact: float, d: int):
@@ -217,19 +226,14 @@ def _disorder_chunk(args):
         H = _BUILDERS[model](L, GaussianStream(key), dict(params))
         row = []
         for q in qs:
-            if q is None:
-                block = H.matrix
-                basis = None
-            else:
-                block, basis = extract_sector_block(H, q)
+            block, basis = extract_sector_block(H, q)
             block_zero = not np.any(block)
             es = diagonalize(block)
             keep = midspectrum_filter(es.values, L, window=window,
                                       fraction=fraction)
             m2s = np.empty(keep.size)
             for n, k in enumerate(keep):
-                v = es.vectors[:, k]
-                psi = v if basis is None else embed_eigenvector(v, basis)
+                psi = embed_eigenvector(es.vectors[:, k], basis)
                 xi2 = pauli_spectrum(psi, (2.0,)).purity(2.0)
                 m2s[n] = -math.log2(xi2)
             row.append({
@@ -421,6 +425,10 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
 
     For sectorless models (mfim) pass qs=None to use the full spectrum.
     Exactly one of window / fraction selects the mid-spectrum band.
+
+    xxz and mfim are clean models: their builders ignore the task stream,
+    so `realizations` N pools N identical copies of one spectrum and the
+    reported sem is not a disorder sem.
     """
     if model not in _BUILDERS:
         raise ConfigError(f"unknown model {model!r}")
@@ -429,6 +437,7 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
     qs = [None] if qs is None else list(qs)
     if model == "mfim" and qs != [None]:
         raise ConfigError("mfim has no conserved charge; leave qs unset")
+    _size_check([L], qs, L_RANGE[model], _BLOCK_DIM_CAP, model)
     params = tuple(sorted((couplings or {}).items()))
 
     chunks = _dispatch(_disorder_chunk, f"{model}:L={L}", realizations, seed,
@@ -491,6 +500,7 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
     if model == "mfim":
         raise ConfigError("self-averaging driver needs a charge sector")
     q = 0  # half filling / zero magnetization
+    _size_check(Ls, [q], L_RANGE[model], _BLOCK_DIM_CAP, model)
     for L in Ls:
         d = sector_dimension(L, q)
         if round(fraction * d) == 0:

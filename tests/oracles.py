@@ -267,3 +267,87 @@ def charge_operator_dense(L: int, nx: float, ny: float, nz: float) -> np.ndarray
             op = np.kron(op, one if k == j else np.eye(2))
         total += op
     return total
+
+
+# ---------------------------------------------------------------------------
+# dense Hamiltonians: Kronecker assembly from Pauli strings and
+# Jordan-Wigner fermion matrices, with the package builders' defaults
+
+def _annihilator(L: int, m: int) -> np.ndarray:
+    """Jordan-Wigner c_m with the string on sites below m (qubit 0 = LSB)."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
+    out = np.ones((1, 1), dtype=complex)
+    for k in range(L - 1, -1, -1):
+        if k == m:
+            f = lower
+        elif k < m:
+            f = _P1[(0, 1)]
+        else:
+            f = np.eye(2)
+        out = np.kron(out, f)
+    return out
+
+
+def dense_csyk(couplings) -> np.ndarray:
+    """4 (2L)^{-3/2} sum J_{ij;kl} cdag_i cdag_j c_k c_l from a
+    CouplingTensor."""
+    L = couplings.L
+    c = [_annihilator(L, m) for m in range(L)]
+    create = np.stack([c[i].conj().T @ c[j].conj().T
+                       for i, j in couplings.pairs])
+    destroy = np.stack([c[k] @ c[l] for k, l in couplings.pairs])
+    mixed = np.tensordot(couplings.values, destroy, axes=(1, 0))
+    return (create @ mixed).sum(axis=0) * 4.0 * (2 * L) ** -1.5
+
+
+def dense_xxz(L: int, J1=1.0, delta=0.5, J2=0.0, h_b=0.0,
+              h_x=0.0) -> np.ndarray:
+    X = [pauli_dense(L, 1 << j, 0) for j in range(L)]
+    Y = [pauli_dense(L, 1 << j, 1 << j) for j in range(L)]
+    Z = [pauli_dense(L, 0, 1 << j) for j in range(L)]
+    ref = np.zeros((2 ** L, 2 ** L), dtype=complex)
+    for j in range(L - 1):
+        ref += J1 * (X[j] @ X[j + 1] + Y[j] @ Y[j + 1])
+        ref += delta * Z[j] @ Z[j + 1]
+    for j in range(L - 2):
+        ref += J2 * Z[j] @ Z[j + 1] @ Z[j + 2]
+    ref += h_b * (Z[0] - Z[L - 1])
+    for j in range(L):
+        ref += h_x * X[j]
+    return ref
+
+
+def dense_mfim(L: int, g=1.1, h=0.35, h1=0.25, hL=-0.25) -> np.ndarray:
+    X = [pauli_dense(L, 1 << j, 0) for j in range(L)]
+    Z = [pauli_dense(L, 0, 1 << j) for j in range(L)]
+    ref = np.zeros((2 ** L, 2 ** L), dtype=complex)
+    for j in range(L - 1):
+        ref += Z[j] @ Z[j + 1]
+    for j in range(L):
+        ref += g * X[j] + h * Z[j]
+    ref += h1 * Z[0] + hL * Z[L - 1]
+    return ref
+
+
+def csyk_index_maps_loop(L: int):
+    """Full-space csyk assembly maps (row state, column state, fermionic
+    sign, coupling index (i, j) * P + (k, l)) by an explicit loop over
+    basis states and operator pairs, in the order x, (k, l), (i, j)."""
+    pairs = list(itertools.combinations(range(L), 2))
+    pos = {p: n for n, p in enumerate(pairs)}
+
+    def sign(x, site):  # Jordan-Wigner string on the modes below site
+        return -1 if bin(x & ((1 << site) - 1)).count("1") & 1 else 1
+
+    out = []
+    for x in range(2 ** L):
+        occ = [m for m in range(L) if (x >> m) & 1]
+        for k, l in itertools.combinations(occ, 2):
+            s0 = sign(x, l) * sign(x ^ (1 << l), k)
+            y0 = x ^ (1 << l) ^ (1 << k)
+            free = [m for m in range(L) if not (y0 >> m) & 1]
+            for i, j in itertools.combinations(free, 2):
+                s = s0 * sign(y0, j) * sign(y0 ^ (1 << j), i)
+                out.append((y0 ^ (1 << j) ^ (1 << i), x, s,
+                            pos[(i, j)] * len(pairs) + pos[(k, l)]))
+    return [np.array(col) for col in zip(*out)]

@@ -45,7 +45,7 @@ from sectormagic.moments import (
 from sectormagic.sampler import haar_state
 from sectormagic.sectors import Direction
 
-from oracles import engine_mean, xi_alpha_reference
+from oracles import dense_csyk, engine_mean, xi_alpha_reference
 
 EPS_GRID = (0.01, 0.02, 0.05)
 
@@ -235,11 +235,15 @@ def test_quartic_fermion_benchmark(capsys):
         assert empty["dimension"] == 8
 
         H = build_csyk(8, seed=123)
-        qvec = np.asarray(H.charges())
-        off = H.matrix[qvec[:, None] != qvec[None, :]]
+        # the dense operator of this realization has no element between
+        # states of unequal charge 2 N_f - L, i.e. it commutes with Q
+        qvec = 2 * np.bitwise_count(np.arange(2 ** 8)).astype(int) - 8
+        ref = dense_csyk(H.couplings)
+        off = ref[qvec[:, None] != qvec[None, :]]
         assert off.size and not np.any(off)
         block, basis = extract_sector_block(H, -6)
-        assert basis.dimension == 8 and not np.any(block)
+        assert basis.dimension == 8 and block.shape == (8, 8)
+        assert not np.any(block)
     _report(capsys, "AC-9 quartic-fermion benchmark", 600.0, body)
 
 

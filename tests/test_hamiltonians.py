@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,89 +18,68 @@ from sectormagic import (
     midspectrum_filter,
     sector_dimension,
 )
-from sectormagic.hamiltonians import NumericalContractError, adjacent_gap_ratio
+from sectormagic.hamiltonians import (
+    NumericalContractError,
+    _csyk_index_maps,
+    adjacent_gap_ratio,
+)
 from sectormagic.harness import run_disorder_sweep
 
 
+def _popcount(x):
+    return np.bitwise_count(np.asarray(x)).astype(int)
+
+
 # ---------------------------------------------------------------------------
-# dense reference constructions (independent Kronecker assembly)
+# blocks against the dense Kronecker references in tests/oracles.py
 
 
-def _site_op(L, j, op):
-    out = np.ones((1, 1), dtype=complex)
-    for k in range(L - 1, -1, -1):
-        out = np.kron(out, op if k == j else np.eye(2))
-    return out
-
-
-def _annihilator(L, m):
-    """Jordan-Wigner c_m with the string on sites below m (qubit 0 = LSB)."""
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
-    z = np.diag([1.0, -1.0]).astype(complex)
-    out = np.ones((1, 1), dtype=complex)
-    for k in range(L - 1, -1, -1):
-        if k == m:
-            f = lower
-        elif k < m:
-            f = z
-        else:
-            f = np.eye(2)
-        out = np.kron(out, f)
-    return out
+def _check_blocks(H, ref, charge):
+    """Every sector block of H, and the q=None block, equals the matching
+    slice of the dense reference; the sector bases hold exactly the states
+    of their charge and together cover the full space."""
+    L = H.L
+    full, basis = extract_sector_block(H, None)
+    np.testing.assert_array_equal(basis.states, np.arange(2 ** L))
+    np.testing.assert_allclose(full, ref, atol=1e-12)
+    covered = []
+    for q in range(-L, L + 1, 2):
+        block, basis = extract_sector_block(H, q)
+        assert np.all(charge(basis.states) == q)
+        assert np.all(np.diff(basis.states) > 0)
+        np.testing.assert_allclose(
+            block, ref[np.ix_(basis.states, basis.states)], atol=1e-12)
+        covered.extend(basis.states)
+    assert sorted(covered) == list(range(2 ** L))
 
 
 def test_csyk_matches_dense_operator_assembly():
     """Rebuild one realization from explicit JW fermion matrices."""
-    L = 4
-    H = build_csyk(L, seed=5)
-    J = H.couplings.values
-    pairs = H.couplings.pairs
-    c = [_annihilator(L, m) for m in range(L)]
-    ref = np.zeros((2 ** L, 2 ** L), dtype=complex)
-    for pi, (i, j) in enumerate(pairs):
-        for pk, (k, l) in enumerate(pairs):
-            ref += J[pi, pk] * (
-                c[i].conj().T @ c[j].conj().T @ c[k] @ c[l]
-            )
-    ref *= 4.0 * (2 * L) ** -1.5
-    np.testing.assert_allclose(H.matrix, ref, atol=1e-12)
+    for L in (4, 5, 6):
+        H = build_csyk(L, seed=5)
+        _check_blocks(H, oracles.dense_csyk(H.couplings),
+                      lambda x: 2 * _popcount(x) - L)
 
 
 def test_xxz_matches_dense_operator_assembly():
-    L = 3
-    p = dict(J1=0.9, delta=0.4, J2=0.7, h_b=0.3, h_x=0.2)
-    H = build_xxz_nnn(L, **p)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    X = [_site_op(L, j, sx) for j in range(L)]
-    Y = [_site_op(L, j, sy) for j in range(L)]
-    Z = [_site_op(L, j, sz) for j in range(L)]
-    ref = np.zeros((2 ** L, 2 ** L), dtype=complex)
-    for j in range(L - 1):
-        ref += p["J1"] * (X[j] @ X[j + 1] + Y[j] @ Y[j + 1])
-        ref += p["delta"] * Z[j] @ Z[j + 1]
-    for j in range(L - 2):
-        ref += p["J2"] * Z[j] @ Z[j + 1] @ Z[j + 2]
-    ref += p["h_b"] * (Z[0] - Z[L - 1])
-    for j in range(L):
-        ref += p["h_x"] * X[j]
-    np.testing.assert_allclose(H.matrix, ref, atol=1e-12)
+    p = dict(J1=0.9, delta=0.4, J2=0.7, h_b=0.3)
+    broken = dict(p, h_x=0.2)
+    for L in (3, 4, 5):
+        _check_blocks(build_xxz_nnn(L, **p), oracles.dense_xxz(L, **p),
+                      lambda x: L - 2 * _popcount(x))
+        # the transverse field has no sectors, but the full space assembles
+        full, _ = extract_sector_block(build_xxz_nnn(L, **broken), None)
+        np.testing.assert_allclose(full, oracles.dense_xxz(L, **broken),
+                                   atol=1e-12)
 
 
 def test_mfim_matches_dense_operator_assembly():
-    L = 3
-    p = dict(g=1.1, h=0.35, h1=0.25, hL=-0.25)
-    H = build_mfim(L, **p)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    X = [_site_op(L, j, sx) for j in range(L)]
-    Z = [_site_op(L, j, sz) for j in range(L)]
-    ref = sum(Z[j] @ Z[j + 1] for j in range(L - 1)).astype(complex)
-    for j in range(L):
-        ref += p["g"] * X[j] + p["h"] * Z[j]
-    ref += p["h1"] * Z[0] + p["hL"] * Z[L - 1]
-    np.testing.assert_allclose(H.matrix, ref, atol=1e-12)
+    p = dict(g=1.2, h=0.3, h1=0.2, hL=-0.1)
+    for L in (3, 4):
+        full, basis = extract_sector_block(build_mfim(L, **p), None)
+        np.testing.assert_array_equal(basis.states, np.arange(2 ** L))
+        np.testing.assert_allclose(full, oracles.dense_mfim(L, **p),
+                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +87,8 @@ def test_mfim_matches_dense_operator_assembly():
 
 
 def test_xxz_two_site_fixture():
-    """Hand-checked L = 2 matrix in basis order 00, 01, 10, 11."""
+    """Hand-checked L = 2 matrix in basis order 00, 01, 10, 11, with
+    charges 2, 0, 0, -2."""
     H = build_xxz_nnn(2, J1=1.0, delta=0.5, h_b=0.25)
     want = np.array(
         [
@@ -117,8 +98,13 @@ def test_xxz_two_site_fixture():
             [0.0, 0.0, 0.0, 0.5],
         ]
     )
-    np.testing.assert_allclose(H.matrix, want, atol=1e-14)
-    np.testing.assert_array_equal(H.charges(), [2, 0, 0, -2])
+    np.testing.assert_allclose(extract_sector_block(H, None)[0], want,
+                               atol=1e-14)
+    for q, states in ((2, [0]), (0, [1, 2]), (-2, [3])):
+        block, basis = extract_sector_block(H, q)
+        np.testing.assert_array_equal(basis.states, states)
+        np.testing.assert_allclose(block, want[np.ix_(states, states)],
+                                   atol=1e-14)
 
 
 def test_xxz_triple_term_parity():
@@ -126,17 +112,21 @@ def test_xxz_triple_term_parity():
     H = build_xxz_nnn(3, J1=0.0, delta=0.0, J2=1.0)
     x = np.arange(8)
     want = np.where(np.bitwise_count(x) % 2 == 0, 1.0, -1.0)
-    np.testing.assert_allclose(H.matrix, np.diag(want), atol=1e-14)
+    np.testing.assert_allclose(extract_sector_block(H, None)[0],
+                               np.diag(want), atol=1e-14)
 
 
 def test_charge_diagonals():
-    H = build_csyk(4, seed=0)
-    nf = np.bitwise_count(np.arange(16)).astype(int)
-    np.testing.assert_array_equal(H.charges(), 2 * nf - 4)
-    Hx = build_xxz_nnn(4)
-    np.testing.assert_array_equal(Hx.charges(), 4 - 2 * nf)
+    """csyk counts fermions (2 N_f - L), xxz counts spins (L - 2 N_down),
+    mfim has no charge."""
+    for H, sign in ((build_csyk(4, seed=0), 1), (build_xxz_nnn(4), -1)):
+        charge = np.zeros(16, dtype=int)
+        for q in range(-4, 5, 2):
+            charge[extract_sector_block(H, q)[1].states] = q
+        nf = _popcount(np.arange(16))
+        np.testing.assert_array_equal(charge, sign * (2 * nf - 4))
     with pytest.raises(ValueError):
-        build_mfim(4).charges()
+        extract_sector_block(build_mfim(4), 0)
 
 
 def test_build_argument_validation():
@@ -159,11 +149,41 @@ def test_coupling_tensor_hermiticity_enforced():
 
 
 def test_csyk_determinism_and_hermiticity():
-    a = build_csyk(6, seed=11)
-    b = build_csyk(6, seed=11)
-    np.testing.assert_array_equal(a.matrix, b.matrix)
-    assert not np.array_equal(a.matrix, build_csyk(6, seed=12).matrix)
-    assert np.max(np.abs(a.matrix - a.matrix.conj().T)) == 0.0
+    a, _ = extract_sector_block(build_csyk(6, seed=11), None)
+    b, _ = extract_sector_block(build_csyk(6, seed=11), None)
+    np.testing.assert_array_equal(a, b)
+    other, _ = extract_sector_block(build_csyk(6, seed=12), None)
+    assert not np.array_equal(a, other)
+    assert np.max(np.abs(a - a.conj().T)) == 0.0
+
+
+def test_csyk_index_maps_match_loop_order():
+    """The vectorized maps list the same terms as the explicit loop, in the
+    same order, so np.add.at sums duplicates in the same order."""
+    for L in (4, 5, 6):
+        rows, cols, signs, cidx = oracles.csyk_index_maps_loop(L)
+        for q in [None] + list(range(-L, L + 1, 2)):
+            _, basis = extract_sector_block(build_csyk(L, seed=0), q)
+            keep = np.isin(cols, basis.states)
+            got = _csyk_index_maps(L, q)
+            np.testing.assert_array_equal(basis.states[got[0]], rows[keep])
+            np.testing.assert_array_equal(basis.states[got[1]], cols[keep])
+            np.testing.assert_array_equal(got[2], signs[keep])
+            np.testing.assert_array_equal(got[3], cidx[keep])
+
+
+def test_csyk_sector_block_never_builds_the_full_matrix():
+    """Index maps and the q = 0 block at L = 12 stay far below the
+    256 MiB that one dense 2^12 x 2^12 complex matrix takes."""
+    _csyk_index_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        block, _ = extract_sector_block(build_csyk(12, seed=1), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (924, 924)
+    assert peak < 128 * 2 ** 20, peak / 2 ** 20
 
 
 def test_csyk_sector_structure():
@@ -200,13 +220,12 @@ def test_broken_charge_fails_extraction():
 
 
 def test_embed_eigenvector_roundtrip():
-    H = build_xxz_nnn(5)
-    block, basis = extract_sector_block(H, 1)
+    block, basis = extract_sector_block(build_xxz_nnn(5), 1)
     es = diagonalize(block)
     v = es.vectors[:, 0]
     full = embed_eigenvector(v, basis)
     # still an eigenvector of the full H with the same eigenvalue
-    resid = np.max(np.abs(H.matrix @ full - es.values[0] * full))
+    resid = np.max(np.abs(oracles.dense_xxz(5) @ full - es.values[0] * full))
     assert resid < 1e-10
 
 

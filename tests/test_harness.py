@@ -27,6 +27,7 @@ from sectormagic.harness import (
     write_jsonl,
     write_summary,
 )
+from sectormagic.harness import experiments
 from sectormagic.harness.cli import main
 
 
@@ -426,6 +427,26 @@ def test_cli_degenerate_inputs_refused_up_front(capsys):
     err = _refused(capsys, ["self-averaging", "--L", "4", "--L", "6",
                             "--fraction", "0.01", "--threads", "1"])
     assert "keeps no eigenstate" in err and "L=4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["csyk", "--L", "15", "--q", "1"],  # above the csyk builder's range
+    ["csyk", "--L", "4", "--q", "1"],  # empty sector
+    ["xxz", "--L", "1", "--q", "1"],  # below the chain builders' range
+    ["xxz", "--L", "4", "--q", "1"],  # empty sector
+    ["mfim", "--L", "1"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_cli_degenerate_disorder_request_refused(capsys, argv):
+    _refused(capsys, argv + ["--threads", "1"])
+
+
+def test_disorder_block_cap_refused_before_any_build(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_BLOCK_DIM_CAP", 19)
+    err = _refused(capsys, ["xxz", "--L", "6", "--q", "0", "--threads", "1"])
+    assert "dimension 20 > 19" in err
+    err = _refused(capsys, ["self-averaging", "--L", "4", "--L", "6",
+                            "--threads", "1"])
+    assert "L=6" in err
 
 
 def test_cli_window_and_fraction_together_refused(capsys):
