@@ -213,16 +213,22 @@ _BUILDERS = {
     "xxz": lambda L, stream, p: build_xxz_nnn(L, **p),
     "mfim": lambda L, stream, p: build_mfim(L, **p),
 }
+#: models whose builders ignore the task stream
+_CLEAN_MODELS = frozenset({"xxz", "mfim"})
 
 
 def _disorder_chunk(args):
     """Disorder realizations, one per stream key, in task order: per
     realization a list with one cell per sector holding the m2 of each kept
     mid-spectrum eigenstate, their energy densities, the gap ratio and
-    whether the block is zero.  q None means the full space."""
+    whether the block is zero.  q None means the full space.  A clean
+    model has one realization: it is computed once and repeated per key."""
     keys, model, L, qs, params, window, fraction = args
     out = []
     for key in keys:
+        if out and model in _CLEAN_MODELS:
+            out.append(out[0])
+            continue
         H = _BUILDERS[model](L, GaussianStream(key), dict(params))
         row = []
         for q in qs:

@@ -10,6 +10,15 @@ i.e. for each X-mask a the vector f_a(x) = conj(c_{x XOR a}) c_x is
 Walsh-Hadamard transformed over b.  Masks are processed in fixed-order
 batches (deterministic accumulation) in O(L 4^L) total time; the i^{a.b}
 phase of the Hermitian Pauli string is dropped since only moduli enter.
+
+Parity shortcut.  If every nonzero amplitude c_x has the same popcount
+parity (every z-frame sector state, every embedded sector eigenstate),
+then for an X-mask a of odd popcount x and x XOR a differ in parity, so
+one factor of f_a(x) is an exact zero and the whole row g_a is zero.
+Such rows are not computed: they are zero-filled before the per-batch
+sums, so the summed array and its floating-point order are those of the
+all-mask loop, and the histogram adds their zeros to its first bin.
+The result is bitwise identical, at half the transforms.
 """
 
 from __future__ import annotations
@@ -91,6 +100,11 @@ def pauli_spectrum(
     the working set is fixed at 2^21 Pauli strings once L >= 11.  A bounded
     histogram of the |<P>|^2 values over [0, 1] is accumulated when
     histogram_bins is given; the full 4^L list is never stored.
+
+    When the exact zeros of the state leave support of one popcount
+    parity only, the odd X-mask rows, which are exactly zero, are skipped
+    and zero-filled (see the module docstring); the output is bitwise the
+    same as transforming every row.  Any other state transforms them all.
     """
     psi = np.ascontiguousarray(state, dtype=np.complex128)
     L = _qubit_count(psi)
@@ -108,15 +122,27 @@ def pauli_spectrum(
         hist_edges = np.linspace(0.0, 1.0, histogram_bins + 1)
 
     idx0 = np.arange(n, dtype=np.int64)
+    odd = np.bitwise_count(idx0) & 1
+    parities = odd[psi != 0]
+    # support of one parity: every odd X-mask row is exactly zero
+    live = (odd == 0) | (parities.min() != parities.max())
     batch = max(1, min(n, (1 << 21) // n))
     for start in range(0, n, batch):
         masks = idx0[start : start + batch]
-        gathered = psi[masks[:, None] ^ idx0[None, :]]
+        rows = np.flatnonzero(live[masks])
+        gathered = psi[masks[rows, None] ^ idx0[None, :]]
         np.conjugate(gathered, out=gathered)
         gathered *= psi[None, :]
         fwht_last_axis(gathered)
-        p = np.abs(gathered)
-        np.multiply(p, p, out=p)  # |<P>|^2
+        p_live = np.abs(gathered)
+        np.multiply(p_live, p_live, out=p_live)  # |<P>|^2
+        if rows.size == masks.size:
+            p = p_live
+        else:
+            # the sums run over the whole batch, zero rows included, so
+            # their floating-point order is that of the all-mask loop
+            p = np.zeros((masks.size, n))
+            p[rows] = p_live
         for a in alphas:
             if a == 2.0:
                 acc[a] += float(np.sum(p * p))
@@ -124,8 +150,9 @@ def pauli_spectrum(
                 acc[a] += float(np.sum(p ** a))
         if hist_counts is not None:
             # clamp the one-ulp overshoot of the identity string
-            np.minimum(p, 1.0, out=p)
-            c, _ = np.histogram(p, bins=hist_edges)
+            np.minimum(p_live, 1.0, out=p_live)
+            c, _ = np.histogram(p_live, bins=hist_edges)
+            c[0] += (masks.size - rows.size) * n  # the skipped zero rows
             hist_counts += c
 
     purities = {a: acc[a] / n for a in alphas}

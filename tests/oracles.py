@@ -3,7 +3,10 @@
 Everything here is deliberately written from first principles with different
 algorithms than the package (permutation sums over the symmetric group,
 dense Kronecker Pauli matrices and frame rotations, direct trigonometric
-quadrature) so that agreement is meaningful.
+quadrature) so that agreement is meaningful.  The exceptions are removed
+fast paths kept to pin bytes: `pauli_spectrum_all_masks` and
+`csyk_index_maps_loop` are the code the package replaced, and its
+output must equal theirs exactly.
 """
 
 from __future__ import annotations
@@ -91,6 +94,46 @@ def xi_alpha_reference(state: np.ndarray, alphas=(2,)) -> dict:
     mods = pauli_moduli(state)
     n = np.asarray(state).size  # 2^L
     return {alpha: float(np.sum(mods ** (2 * alpha)) / n) for alpha in alphas}
+
+
+def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,),
+                             histogram_bins=None):
+    """The Walsh-Hadamard kernel transforming every X-mask, zero rows
+    included: the reference that the package's row skipping must match
+    bit for bit (same batches, same per-batch sums, same histogram)."""
+    from sectormagic.magic import PauliSpectrumSummary, fwht_last_axis
+
+    psi = np.ascontiguousarray(state, dtype=np.complex128)
+    n = psi.size
+    alphas = tuple(float(a) for a in alphas)
+    acc = {a: 0.0 for a in alphas}
+    hist_counts = hist_edges = None
+    if histogram_bins:
+        hist_counts = np.zeros(histogram_bins, dtype=np.int64)
+        hist_edges = np.linspace(0.0, 1.0, histogram_bins + 1)
+    idx0 = np.arange(n, dtype=np.int64)
+    batch = max(1, min(n, (1 << 21) // n))
+    for start in range(0, n, batch):
+        masks = idx0[start : start + batch]
+        gathered = psi[masks[:, None] ^ idx0[None, :]]
+        np.conjugate(gathered, out=gathered)
+        gathered *= psi[None, :]
+        fwht_last_axis(gathered)
+        p = np.abs(gathered)
+        np.multiply(p, p, out=p)
+        for a in alphas:
+            if a == 2.0:
+                acc[a] += float(np.sum(p * p))
+            else:
+                acc[a] += float(np.sum(p ** a))
+        if hist_counts is not None:
+            np.minimum(p, 1.0, out=p)
+            c, _ = np.histogram(p, bins=hist_edges)
+            hist_counts += c
+    histogram = (hist_counts, hist_edges) if hist_counts is not None else None
+    return PauliSpectrumSummary(L=n.bit_length() - 1,
+                                purities={a: acc[a] / n for a in alphas},
+                                histogram=histogram)
 
 
 # single-qubit U with U sigma^z U^dagger = sigma^frame

@@ -449,6 +449,34 @@ def test_disorder_block_cap_refused_before_any_build(capsys, monkeypatch):
     assert "L=6" in err
 
 
+def test_clean_model_is_built_once_per_chunk(monkeypatch):
+    """xxz and mfim builders ignore the stream: a chunk of realizations
+    builds one Hamiltonian and repeats its row, csyk builds one per key."""
+    calls = []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            calls.append(build)
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_csyk", "build_xxz_nnn", "build_mfim"):
+        monkeypatch.setattr(experiments, name,
+                            counted(getattr(experiments, name)))
+    for model, qs, built in (("xxz", [0], 1), ("mfim", None, 1),
+                             ("csyk", [0], 3)):
+        calls.clear()
+        records, _ = experiments.run_disorder_sweep(
+            model, 4, qs=qs, realizations=3, threads=1, fraction=0.5)
+        assert len(calls) == built, model
+        per_realization = {}
+        for rec in records:
+            per_realization.setdefault(rec.aux1, []).append(rec.value)
+        assert len(per_realization) == 3
+        if built == 1:
+            assert len({tuple(v) for v in per_realization.values()}) == 1
+
+
 def test_cli_window_and_fraction_together_refused(capsys):
     """Both band selectors at once is ambiguous: exit 2, not a silently
     dropped --fraction."""

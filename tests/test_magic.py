@@ -144,7 +144,8 @@ def test_histogram_counts_all_strings():
 
 def test_sector_states_have_even_x_mask_support():
     """For fixed-charge states every Pauli with an odd number of X/Y factors
-    has exactly zero expectation (it changes the charge)."""
+    has exactly zero expectation (it changes the charge).  The kernel skips
+    these rows, so the dense sweep must give exact zeros there."""
     L, q = 4, 0
     psi = constrained_haar_state(L, q, seed=21)
     for a in range(2 ** L):
@@ -153,6 +154,32 @@ def test_sector_states_have_even_x_mask_support():
         for b in range(0, 2 ** L, 3):
             P = oracles.pauli_dense(L, a, b)
             assert abs(np.vdot(psi, P @ psi)) < 1e-13
+    for L in (4, 5):
+        odd = np.bitwise_count(np.arange(2 ** L)) % 2 == 1
+        for q in range(-L, L + 1, 2):
+            psi = constrained_haar_state(L, q, seed=L + q)
+            mods = oracles.pauli_moduli(psi).reshape(2 ** L, 2 ** L)
+            assert np.all(mods[odd] == 0.0), (L, q)
+
+
+def test_row_skipping_is_bitwise_equal_to_all_masks():
+    """Parity-definite states skip the odd X-mask rows; purities and
+    histogram counts equal the all-mask loop exactly.  The mixed-parity
+    and x-frame states take the all-mask path."""
+    cases = [(L, q) for L in range(1, 11) for q in range(-L, L + 1, 2)]
+    states = [constrained_haar_state(L, q, seed=L + q)
+              for L, q in cases + [(12, 0), (12, 2)]]
+    mixed = np.zeros(2 ** 6, dtype=complex)
+    mixed[0] = mixed[1] = 1.0 / math.sqrt(2.0)
+    xframe = constrained_haar_state(6, 2, frame="x", seed=5)
+    parity = np.bitwise_count(np.arange(2 ** 6)) % 2
+    for psi in (mixed, xframe):
+        assert set(parity[psi != 0]) == {0, 1}
+    for psi in states + [mixed, xframe]:
+        got = pauli_spectrum(psi, (2, 3), histogram_bins=200)
+        ref = oracles.pauli_spectrum_all_masks(psi, (2, 3), histogram_bins=200)
+        assert got.purities == ref.purities
+        np.testing.assert_array_equal(got.histogram[0], ref.histogram[0])
 
 
 def test_input_validation():
@@ -169,8 +196,10 @@ def test_input_validation():
 def test_kernel_working_set_is_fixed():
     """From L = 11 on the kernel transforms 2^21 Pauli strings per batch,
     so its peak allocation stops growing with L and stays below the 4^L
-    spectrum it never materializes."""
+    spectrum it never materializes.  A sector state, whose skipped rows
+    are zero-filled for the sums, peaks no higher than a full state."""
     states = [haar_state(L, seed=2) for L in (11, 12)]
+    states.append(constrained_haar_state(12, 0, seed=2))
     pauli_spectrum(states[0], (2,), histogram_bins=200)  # warm up
     peaks = []
     for psi in states:
@@ -180,6 +209,7 @@ def test_kernel_working_set_is_fixed():
         tracemalloc.stop()
     assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
     assert peaks[1] < (4 ** 12) * 8
+    assert peaks[2] <= peaks[1]
 
 
 def test_entropy_hierarchy_and_pe_bound():
