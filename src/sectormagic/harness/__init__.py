@@ -12,7 +12,7 @@ from .records import (
     write_jsonl,
     write_summary,
 )
-from .config import ConfigError, ExperimentConfig, parse_config_text, load_config
+from .config import ConfigError, parse_config_text, load_config
 from .experiments import (
     run_ensemble_experiment,
     run_variance_convergence,
@@ -35,7 +35,6 @@ __all__ = [
     "write_jsonl",
     "write_summary",
     "ConfigError",
-    "ExperimentConfig",
     "parse_config_text",
     "load_config",
     "run_ensemble_experiment",

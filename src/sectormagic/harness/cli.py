@@ -1,5 +1,11 @@
 """Command line for the sector-magic laboratory.
 
+Every subcommand is one entry of TABLE: the keys it reads and the driver
+it runs.  A key is both a flag and a config-file key, read by one parser
+from either source.  The argparse subcommands and the config-file checks
+are generated from the table, and `resolve` gives the one effective dict a
+run reads (table default < config file < flag).
+
 Exit codes: 0 success, 2 configuration / usage error, 3 numerical
 contract violation.
 """
@@ -8,30 +14,257 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from typing import Any, Callable, NamedTuple
 
-from ..asymptotics import (XI_HESSIAN, XI_PRINTED, asymptotic_prediction,
-                           tilted_asymptotic_q0)
+from ..asymptotics import (XI_HESSIAN, XI_PRINTED, _check_density,
+                           asymptotic_prediction, tilted_asymptotic_q0)
 from ..hamiltonians import NumericalContractError
-from ..moments import (K2_PRINTED, K2_SECTOR, analytic_moments,
+from ..moments import (K2_PRINTED, K2_SECTOR, SectorError, analytic_moments,
                        levy_variance_bound, mean_sp2_tilted, tilted_m2_bound)
 from ..sectors import Direction, sector_dimension
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, load_config
 from .experiments import (run_asymptotic_collapse, run_disorder_sweep,
                           run_ensemble_experiment, run_mixed_charge,
                           run_pe_check, run_self_averaging,
                           run_variance_convergence)
 from .records import _jsonable, write_csv, write_jsonl, write_summary
 
+#: default of a key that every run must set
+REQUIRED = object()
 
-def _add_io(sp, seed=True):
-    if seed:
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", default=None,
-                    help="output prefix; writes <out>.csv|.jsonl and "
-                         "<out>.summary.json")
-    sp.add_argument("--format", choices=("csv", "jsonl"), default=None)
+
+class Key(NamedTuple):
+    """One settable value: config-file name, the parser of one flag or file
+    token, default, help, and whether it takes a list (flags repeat, file
+    values are comma separated)."""
+
+    name: str
+    parse: Callable[[str], Any]
+    default: Any = None
+    help: str = ""
+    many: bool = False
+    choices: tuple = ()
+    flag: str | None = None  # None: --name with "_" as "-"
+
+
+class Experiment(NamedTuple):
+    """One subcommand: its keys and its driver (effective dict -> result).
+    band = (key, value) is set when neither window nor fraction is given."""
+
+    help: str
+    keys: tuple
+    run: Callable[[dict], Any] | None
+    band: tuple = ()
+
+
+def _at_least(lo: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _density(raw: str) -> float:
+    return _check_density(_finite(raw))
+
+
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# keys shared by several experiments
+SIZE = Key("L", _at_least(1), 8, "number of qubits")
+CHARGES = Key("q", int, (0,), "charge sector", many=True)
+CHARGE = CHARGES._replace(default=0, many=False)
+SAMPLES = Key("samples", int, 1000, "draws per sector")
+ALLOW_LARGE = Key("allow_large", _bool, False,
+                  "raise the sampling cap from L <= 12 to L <= 14")
+SEED = Key("seed", int, 0, "root seed of the per-task random streams")
+THREADS = Key("threads", int, None,
+              "worker processes (default SECTORMAGIC_THREADS, else cpu count)")
+OUT = Key("out", str, None, "output prefix; writes <out>.csv|.jsonl and "
+                            "<out>.summary.json")
+FORMAT = Key("format", str, "csv", "record file format",
+             choices=("csv", "jsonl"))
+IO = (SEED, THREADS, OUT, FORMAT)
+SIZES = Key("L_values", _at_least(1), (6, 8, 10), "system sizes", many=True,
+            flag="--L")
+REALIZATIONS = Key("realizations", int, 100, "disorder realizations")
+WINDOW = Key("window", _finite, None,
+             "half-width of the mid-spectrum energy-density window")
+FRACTION = Key("fraction", _finite, None,
+               "central fraction of each spectrum kept")
+THETAS = Key("theta", _finite, REQUIRED, "polar angle of the charge axis",
+             many=True)
+PHI = Key("phi", _finite, 0.0, "azimuth of the charge axis")
+XI_VARIANT = Key("xi_variant", str, XI_HESSIAN, "saddle-point xi formula",
+                 choices=(XI_HESSIAN, XI_PRINTED))
+XXZ_COUPLINGS = tuple(Key(name, _finite, value, "xxz coupling") for name, value
+                      in (("J1", 1.0), ("delta", 0.5), ("J2", 0.0),
+                          ("h_b", 0.0), ("h_x", 0.0)))
+MFIM_COUPLINGS = tuple(Key(name, _finite, value, "mfim field") for name, value
+                       in (("g", 1.1), ("h", 0.35), ("h1", 0.25),
+                           ("hL", -0.25)))
+ANALYTIC_SIZE = SIZE._replace(default=REQUIRED)
+ANALYTIC_CHARGE = CHARGE._replace(default=REQUIRED)
+
+
+def _analytic_mean(v: dict) -> dict:
+    mom = analytic_moments(v["L"], v["q"])
+    return {
+        "L": v["L"], "q": v["q"],
+        "dimension": sector_dimension(v["L"], v["q"]),
+        "mean_xi2": str(mom.mean),
+        "mean_xi2_float": float(mom.mean),
+        "m2_mean_bound": mom.m2_mean_bound,
+    }
+
+
+def _analytic_variance(v: dict) -> dict:
+    mom = analytic_moments(v["L"], v["q"], k2_coefficient=v["k2_coefficient"])
+    return {
+        "L": v["L"], "q": v["q"],
+        "k2_coefficient": v["k2_coefficient"],
+        "mean_xi2": str(mom.mean),
+        "mean_xi2_float": float(mom.mean),
+        "second_moment_xi2": str(mom.second_moment),
+        "second_moment_xi2_float": float(mom.second_moment),
+        "variance_xi2": str(mom.variance),
+        "variance_xi2_float": float(mom.variance),
+        "levy_variance_bound": levy_variance_bound(v["L"], v["q"]),
+    }
+
+
+def _analytic_asymptotic(v: dict) -> dict:
+    pred = asymptotic_prediction(v["s"], xi_variant=v["xi_variant"])
+    return {
+        "s": pred.s, "z": pred.z, "F_star": pred.F_star,
+        "xi": pred.xi, "m": pred.m, "g": pred.g,
+        "xi_variant": v["xi_variant"],
+    }
+
+
+def _analytic_tilted(v: dict) -> dict:
+    direction = Direction.from_angles(v["theta"], v["phi"])
+    return {
+        "L": v["L"], "q": v["q"],
+        "theta": v["theta"], "phi": v["phi"],
+        "mean_xi2": mean_sp2_tilted(v["L"], v["q"], direction),
+        "m2_mean_bound": tilted_m2_bound(v["L"], v["q"], direction),
+        "asymptotic_q0_offset": tilted_asymptotic_q0(direction),
+    }
+
+
+def _sweep(model: str, realizations: int, band: tuple, charges=(CHARGES,),
+           couplings=()) -> Experiment:
+    """Entry of one Hamiltonian family's disorder sweep."""
+    def run(v):
+        return run_disorder_sweep(
+            model, v["L"], qs=v.get("q"), realizations=v["realizations"],
+            seed=v["seed"], threads=v["threads"], window=v["window"],
+            fraction=v["fraction"],
+            couplings={k.name: v[k.name] for k in couplings} or None)
+    keys = ((SIZE,) + charges
+            + (REALIZATIONS._replace(default=realizations), WINDOW, FRACTION)
+            + couplings + IO)
+    return Experiment(f"{model} disorder sweep", keys, run, band)
+
+
+#: subcommand -> entry; "analytic <what>" nests under `analytic`.  Entries
+#: without `out` take no config file and print their payload only.
+TABLE = {
+    "analytic mean": Experiment(
+        "exact sector mean of Xi_2", (ANALYTIC_SIZE, ANALYTIC_CHARGE),
+        _analytic_mean),
+    "analytic variance": Experiment(
+        "exact sector mean/variance of Xi_2",
+        (ANALYTIC_SIZE, ANALYTIC_CHARGE,
+         Key("k2_coefficient", str, K2_SECTOR, "second-moment K2 prefactor",
+             choices=(K2_SECTOR, K2_PRINTED))),
+        _analytic_variance),
+    "analytic asymptotic": Experiment(
+        "large-L prediction at density s",
+        (Key("s", _density, REQUIRED, "charge density q/L in [0, 1)"),
+         XI_VARIANT),
+        _analytic_asymptotic),
+    "analytic tilted": Experiment(
+        "exact mean with a tilted charge axis",
+        (ANALYTIC_SIZE, ANALYTIC_CHARGE, THETAS._replace(many=False), PHI),
+        _analytic_tilted),
+    "sample": Experiment(
+        "constrained Haar ensemble sampling",
+        (SIZE, CHARGES, SAMPLES,
+         Key("frame", str, "z", "axis of the conserved charge",
+             choices=("z", "x", "y")),
+         Key("histogram_bins", _at_least(0), 200,
+             "bins of the Pauli-spectrum histogram (0: none)"),
+         ALLOW_LARGE) + IO,
+        lambda v: run_ensemble_experiment(
+            v["L"], v["q"], v["samples"], frame=v["frame"], seed=v["seed"],
+            threads=v["threads"], histogram_bins=v["histogram_bins"],
+            allow_large=v["allow_large"])),
+    "variance-convergence": Experiment(
+        "running moments vs exact values",
+        (SIZE, CHARGES, SAMPLES,
+         Key("checkpoints", int, (), "sample counts of the running moments "
+             "(default: logarithmic)", many=True),
+         ALLOW_LARGE) + IO,
+        lambda v: run_variance_convergence(
+            v["L"], v["q"], v["samples"], seed=v["seed"],
+            threads=v["threads"], checkpoints=v["checkpoints"],
+            allow_large=v["allow_large"])),
+    # xxz and mfim are clean models: every realization is identical
+    "csyk": _sweep("csyk", 100, ("fraction", 0.1)),
+    "xxz": _sweep("xxz", 1, ("window", 0.25), couplings=XXZ_COUPLINGS),
+    "mfim": _sweep("mfim", 1, ("fraction", 0.1), charges=(),
+                   couplings=MFIM_COUPLINGS),
+    "mixed": Experiment(
+        "tilted-axis theta sweep",
+        (SIZE, CHARGE, THETAS, PHI, SAMPLES, ALLOW_LARGE) + IO,
+        lambda v: run_mixed_charge(
+            v["L"], v["q"], v["theta"], v["samples"], seed=v["seed"],
+            phi=v["phi"], threads=v["threads"],
+            allow_large=v["allow_large"])),
+    "collapse": Experiment(
+        "exact vs asymptotic residuals",
+        (SIZES, Key("s_values", _density, (0.0, 0.25, 0.5),
+                    "charge densities in [0, 1)", many=True, flag="--s"),
+         XI_VARIANT, SEED, OUT, FORMAT),
+        lambda v: run_asymptotic_collapse(
+            v["L_values"], v["s_values"], xi_variant=v["xi_variant"],
+            seed=v["seed"])),
+    "self-averaging": Experiment(
+        "disorder fluctuations vs system size",
+        (SIZES, REALIZATIONS._replace(default=50),
+         FRACTION._replace(default=0.1)) + IO,
+        lambda v: run_self_averaging(
+            Ls=v["L_values"], realizations=v["realizations"], seed=v["seed"],
+            threads=v["threads"], fraction=v["fraction"])),
+    "pe-check": Experiment(
+        "participation-entropy statistics",
+        (SIZE, CHARGE, SAMPLES, ALLOW_LARGE) + IO,
+        lambda v: run_pe_check(
+            v["L"], v["q"], v["samples"], seed=v["seed"],
+            threads=v["threads"], allow_large=v["allow_large"])),
+    "run": Experiment("run the experiment named in --config (default sample)",
+                      IO, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,264 +275,114 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="flat key=value config file; flags override it")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analytic", help="closed-form quantities")
-    suba = pa.add_subparsers(dest="what", required=True)
-    sm = suba.add_parser("mean", help="exact sector mean of Xi_2")
-    sm.add_argument("--L", type=int, required=True)
-    sm.add_argument("--q", type=int, required=True)
-    sv = suba.add_parser("variance", help="exact sector mean/variance of Xi_2")
-    sv.add_argument("--L", type=int, required=True)
-    sv.add_argument("--q", type=int, required=True)
-    sv.add_argument("--k2-coefficient", choices=(K2_SECTOR, K2_PRINTED),
-                    default=K2_SECTOR)
-    sa = suba.add_parser("asymptotic", help="large-L prediction at density s")
-    sa.add_argument("--s", type=float, required=True)
-    sa.add_argument("--xi-variant", choices=(XI_HESSIAN, XI_PRINTED),
-                    default=XI_HESSIAN)
-    st = suba.add_parser("tilted", help="exact mean with a tilted charge axis")
-    st.add_argument("--L", type=int, required=True)
-    st.add_argument("--q", type=int, required=True)
-    st.add_argument("--theta", type=float, required=True)
-    st.add_argument("--phi", type=float, default=0.0)
-
-    ps = sub.add_parser("sample", help="constrained Haar ensemble sampling")
-    ps.add_argument("--L", type=int, default=None)
-    ps.add_argument("--q", type=int, action="append", default=None)
-    ps.add_argument("--samples", type=int, default=None)
-    ps.add_argument("--frame", choices=("z", "x", "y"), default=None)
-    ps.add_argument("--histogram-bins", type=int, default=None)
-    ps.add_argument("--allow-large", action="store_true", default=None)
-    _add_io(ps)
-
-    pv = sub.add_parser("variance-convergence",
-                        help="running moments vs exact values")
-    pv.add_argument("--L", type=int, default=None)
-    pv.add_argument("--q", type=int, action="append", default=None)
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--checkpoints", default=None,
-                    help="comma-separated sample counts")
-    pv.add_argument("--allow-large", action="store_true", default=None)
-    _add_io(pv)
-
-    for model in ("csyk", "xxz", "mfim"):
-        pm = sub.add_parser(model, help=f"{model} disorder sweep")
-        pm.add_argument("--L", type=int, default=None)
-        if model != "mfim":
-            pm.add_argument("--q", type=int, action="append", default=None)
-        pm.add_argument("--realizations", type=int, default=None)
-        pm.add_argument("--window", type=float, default=None)
-        pm.add_argument("--fraction", type=float, default=None)
-        if model == "xxz":
-            pm.add_argument("--J1", type=float, default=None)
-            pm.add_argument("--delta", type=float, default=None)
-            pm.add_argument("--J2", type=float, default=None)
-            pm.add_argument("--h-b", dest="h_b", type=float, default=None)
-            pm.add_argument("--h-x", dest="h_x", type=float, default=None)
-        if model == "mfim":
-            pm.add_argument("--g", type=float, default=None)
-            pm.add_argument("--h", type=float, default=None)
-            pm.add_argument("--h1", type=float, default=None)
-            pm.add_argument("--hL", type=float, default=None)
-        _add_io(pm)
-
-    px = sub.add_parser("mixed", help="tilted-axis theta sweep")
-    px.add_argument("--L", type=int, default=None)
-    px.add_argument("--q", type=int, default=None)
-    px.add_argument("--theta", type=float, action="append", default=None)
-    px.add_argument("--phi", type=float, default=None)
-    px.add_argument("--samples", type=int, default=None)
-    px.add_argument("--allow-large", action="store_true", default=None)
-    _add_io(px)
-
-    pc = sub.add_parser("collapse", help="exact vs asymptotic residuals")
-    pc.add_argument("--L", type=int, action="append", default=None,
-                    dest="L_values")
-    pc.add_argument("--s", type=float, action="append", default=None,
-                    dest="s_values")
-    pc.add_argument("--xi-variant", choices=(XI_HESSIAN, XI_PRINTED),
-                    default=None)
-    _add_io(pc, seed=False)
-
-    pf = sub.add_parser("self-averaging",
-                        help="disorder fluctuations vs system size")
-    pf.add_argument("--L", type=int, action="append", default=None,
-                    dest="L_values")
-    pf.add_argument("--realizations", type=int, default=None)
-    pf.add_argument("--fraction", type=float, default=None)
-    _add_io(pf)
-
-    pp = sub.add_parser("pe-check", help="participation-entropy statistics")
-    pp.add_argument("--L", type=int, default=None)
-    pp.add_argument("--q", type=int, default=None)
-    pp.add_argument("--samples", type=int, default=None)
-    pp.add_argument("--allow-large", action="store_true", default=None)
-    _add_io(pp)
-
-    pr = sub.add_parser("run", help="run the experiment named in --config")
-    _add_io(pr)
-
+    groups = {}
+    for name, entry in TABLE.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(
+                group, help="closed-form quantities").add_subparsers(
+                dest="command", required=True)
+        sp = (groups[group] if group else sub).add_parser(leaf,
+                                                          help=entry.help)
+        sp.set_defaults(command=name)
+        for key in entry.keys:
+            flag = key.flag or "--" + key.name.replace("_", "-")
+            helptext = key.help + (" (required)" if key.default is REQUIRED
+                                   else " (repeatable)" if key.many else "")
+            if key.parse is _bool:
+                sp.add_argument(flag, dest=key.name, action="store_const",
+                                const=["true"], help=helptext)
+            else:
+                sp.add_argument(flag, dest=key.name, action="append",
+                                metavar="{%s}" % ",".join(key.choices)
+                                if key.choices else None, help=helptext)
     return p
 
 
-def _merge_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for key in ExperimentConfig._PARSERS:
-        if not hasattr(args, key):
-            continue
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if key == "checkpoints" and isinstance(value, str):
-            value = [int(tok) for tok in value.split(",") if tok.strip()]
-        overrides[key] = value
-    if getattr(args, "q", None) is not None and "q" in overrides:
-        overrides["q"] = list(args.q) if isinstance(args.q, list) else [args.q]
-    if getattr(args, "theta", None) is not None:
-        overrides["theta"] = list(args.theta)
-    return cfg.override(**overrides)
+def _read(key: Key, raws: list):
+    """A key's value from its raw flag or file strings."""
+    if key.many:
+        raws = [tok for raw in raws for tok in raw.split(",") if tok.strip()]
+    elif len(raws) > 1:
+        raise ConfigError(f"{key.name} takes one value, got {len(raws)}")
+    try:
+        values = [key.parse(raw.strip()) for raw in raws]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key.name!r}: {exc}") from None
+    for value in values:
+        if key.choices and value not in key.choices:
+            raise ConfigError(f"{key.name} must be one of "
+                              f"{', '.join(key.choices)}, got {value!r}")
+    return values if key.many else values[0]
 
 
-def _analytic_payload(args) -> dict:
-    if args.what == "mean":
-        mom = analytic_moments(args.L, args.q)
-        return {
-            "L": args.L, "q": args.q,
-            "dimension": sector_dimension(args.L, args.q),
-            "mean_xi2": str(mom.mean),
-            "mean_xi2_float": float(mom.mean),
-            "m2_mean_bound": mom.m2_mean_bound,
-        }
-    if args.what == "variance":
-        mom = analytic_moments(args.L, args.q,
-                               k2_coefficient=args.k2_coefficient)
-        return {
-            "L": args.L, "q": args.q,
-            "k2_coefficient": args.k2_coefficient,
-            "mean_xi2": str(mom.mean),
-            "mean_xi2_float": float(mom.mean),
-            "second_moment_xi2": str(mom.second_moment),
-            "second_moment_xi2_float": float(mom.second_moment),
-            "variance_xi2": str(mom.variance),
-            "variance_xi2_float": float(mom.variance),
-            "levy_variance_bound": levy_variance_bound(args.L, args.q),
-        }
-    if args.what == "asymptotic":
-        pred = asymptotic_prediction(args.s, xi_variant=args.xi_variant)
-        return {
-            "s": pred.s, "z": pred.z, "F_star": pred.F_star,
-            "xi": pred.xi, "m": pred.m, "g": pred.g,
-            "xi_variant": args.xi_variant,
-        }
-    direction = Direction.from_angles(args.theta, args.phi)
-    return {
-        "L": args.L, "q": args.q,
-        "theta": args.theta, "phi": args.phi,
-        "mean_xi2": mean_sp2_tilted(args.L, args.q, direction),
-        "m2_mean_bound": tilted_m2_bound(args.L, args.q, direction),
-        "asymptotic_q0_offset": tilted_asymptotic_q0(direction),
-    }
-
-
-def _xxz_couplings(cfg: ExperimentConfig) -> dict:
-    return {"J1": cfg.J1, "delta": cfg.delta, "J2": cfg.J2,
-            "h_b": cfg.h_b, "h_x": cfg.h_x}
-
-
-def _mfim_couplings(cfg: ExperimentConfig) -> dict:
-    return {"g": cfg.g, "h": cfg.h, "h1": cfg.h1, "hL": cfg.hL}
-
-
-def _dispatch(command: str, cfg: ExperimentConfig):
-    if command == "sample":
-        return run_ensemble_experiment(
-            cfg.L, cfg.q, cfg.samples, frame=cfg.frame, seed=cfg.seed,
-            threads=cfg.threads, histogram_bins=cfg.histogram_bins,
-            allow_large=cfg.allow_large)
-    if command == "variance-convergence":
-        return run_variance_convergence(
-            cfg.L, cfg.q, cfg.samples, seed=cfg.seed, threads=cfg.threads,
-            checkpoints=cfg.checkpoints or None, allow_large=cfg.allow_large)
-    if command in ("csyk", "xxz", "mfim"):
-        window, fraction = cfg.window, cfg.fraction
-        if window is None and fraction is None:
-            # central 10% by default; xxz keeps an energy-density window
-            if command == "xxz":
-                window = 0.25
-            else:
-                fraction = 0.1
-        couplings = None
-        if command == "xxz":
-            couplings = _xxz_couplings(cfg)
-        elif command == "mfim":
-            couplings = _mfim_couplings(cfg)
-        realizations = cfg.realizations
-        if realizations is None:
-            # xxz/mfim are clean models: every realization is identical
-            realizations = 100 if command == "csyk" else 1
-        return run_disorder_sweep(
-            command, cfg.L, qs=None if command == "mfim" else cfg.q,
-            realizations=realizations, seed=cfg.seed,
-            threads=cfg.threads, window=window, fraction=fraction,
-            couplings=couplings)
-    if command == "mixed":
-        if not cfg.theta:
-            raise ConfigError("mixed needs at least one --theta")
-        return run_mixed_charge(
-            cfg.L, cfg.q[0] if isinstance(cfg.q, list) else cfg.q,
-            cfg.theta, cfg.samples, seed=cfg.seed, phi=cfg.phi,
-            threads=cfg.threads, allow_large=cfg.allow_large)
-    if command == "collapse":
-        return run_asymptotic_collapse(
-            cfg.L_values, cfg.s_values, xi_variant=cfg.xi_variant,
-            seed=cfg.seed)
-    if command == "self-averaging":
-        return run_self_averaging(
-            Ls=cfg.L_values,
-            realizations=50 if cfg.realizations is None else cfg.realizations,
-            seed=cfg.seed, threads=cfg.threads,
-            fraction=0.1 if cfg.fraction is None else cfg.fraction)
-    if command == "pe-check":
-        return run_pe_check(
-            cfg.L, cfg.q[0] if isinstance(cfg.q, list) else cfg.q,
-            cfg.samples, seed=cfg.seed, threads=cfg.threads,
-            allow_large=cfg.allow_large)
-    raise ConfigError(f"unknown experiment {command!r}")
-
-
-def _emit(records, summary, cfg: ExperimentConfig, stdout) -> None:
-    if cfg.out:
-        if cfg.format == "jsonl":
-            write_jsonl(records, cfg.out + ".jsonl")
+def resolve(command: str, file: dict | None = None,
+            flags: dict | None = None) -> dict:
+    """The effective values of one run of command: every key of its entry
+    from the flags (lists of raw strings), else the config file (raw
+    strings), else the table default."""
+    entry = TABLE[command]
+    raw = {name: [value] for name, value in (file or {}).items()}
+    named = raw.pop("experiment", [command])[0]
+    if named != command:
+        raise ConfigError(f"config file is for {named!r}, not {command!r}")
+    raw.update(flags or {})
+    unread = sorted(set(raw) - {key.name for key in entry.keys})
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
+    values = {}
+    for key in entry.keys:
+        if key.name in raw:
+            values[key.name] = _read(key, raw[key.name])
+        elif key.default is REQUIRED:
+            raise ConfigError(f"{command} needs a value for {key.name}")
         else:
-            write_csv(records, cfg.out + ".csv")
-        write_summary(summary, cfg.out + ".summary.json")
-    json.dump(_jsonable(summary), stdout, indent=2, sort_keys=True,
+            values[key.name] = (list(key.default) if key.many
+                                else key.default)
+    if entry.band and values["window"] is None and values["fraction"] is None:
+        values[entry.band[0]] = entry.band[1]
+    return values
+
+
+def _emit(result, values: dict, stdout) -> None:
+    """Print the summary (or analytic payload); with `out`, also write the
+    record and summary files."""
+    if "out" in values:
+        records, result = result
+        if values["out"]:
+            if values["format"] == "jsonl":
+                write_jsonl(records, values["out"] + ".jsonl")
+            else:
+                write_csv(records, values["out"] + ".csv")
+            write_summary(result, values["out"] + ".summary.json")
+    json.dump(_jsonable(result), stdout, indent=2, sort_keys=True,
               allow_nan=False)
     stdout.write("\n")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = args.command
+    flags = {key.name: getattr(args, key.name) for key in TABLE[command].keys
+             if getattr(args, key.name) is not None}
     try:
-        if args.command == "analytic":
-            json.dump(_jsonable(_analytic_payload(args)), sys.stdout,
-                      indent=2, sort_keys=True, allow_nan=False)
-            sys.stdout.write("\n")
-            return 0
-        cfg = _merge_config(args)
-        command = args.command
+        file = {}
+        if args.config:
+            if OUT not in TABLE[command].keys:
+                raise ConfigError(f"{command} takes no --config")
+            file = load_config(args.config)
         if command == "run":
-            command = cfg.experiment
-        records, summary = _dispatch(command, cfg)
-        _emit(records, summary, cfg, sys.stdout)
+            command = file.get("experiment", "sample")
+            entry = TABLE.get(command)
+            if entry is None or entry.run is None or OUT not in entry.keys:
+                raise ConfigError(f"unknown experiment {command!r}")
+        values = resolve(command, file, flags)
+        _emit(TABLE[command].run(values), values, sys.stdout)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, SectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalContractError as exc:

@@ -1,130 +1,17 @@
-"""Flat key=value experiment configuration.
+"""Flat key=value experiment configuration files.
 
 Config files are plain text: one `key = value` per line, `#` starts a
-comment, blank lines ignored.  Lists are comma separated.  Command-line
-flags override file values.  Unknown keys or malformed values raise
-ConfigError (CLI exit code 2).
+comment, blank lines ignored.  Lists are comma separated.  Which keys an
+experiment reads, how each value is parsed and what it defaults to is
+declared once, in the experiment table of `harness.cli`; command-line flags
+override file values.  Malformed files raise ConfigError (CLI exit code 2).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import ClassVar
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
-
-
-def _to_int_list(raw: str):
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _to_float_list(raw: str):
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-
-@dataclass
-class ExperimentConfig:
-    """Union of the knobs used by the experiment drivers; each driver reads
-    the subset it needs."""
-
-    experiment: str = "sample"
-    L: int = 8
-    L_values: list = dataclasses.field(default_factory=lambda: [6, 8, 10])
-    q: list = dataclasses.field(default_factory=lambda: [0])
-    frame: str = "z"
-    theta: list = dataclasses.field(default_factory=list)
-    phi: float = 0.0
-    s_values: list = dataclasses.field(default_factory=lambda: [0.0, 0.25, 0.5])
-    samples: int = 1000
-    # None = model-dependent default (clean chains need one realization)
-    realizations: int | None = None
-    checkpoints: list = dataclasses.field(default_factory=list)
-    seed: int = 0
-    window: float | None = None
-    fraction: float | None = None
-    threads: int | None = None
-    out: str | None = None
-    format: str = "csv"
-    allow_large: bool = False
-    histogram_bins: int = 200
-    xi_variant: str = "hessian"
-    # xxz_nnn couplings
-    J1: float = 1.0
-    delta: float = 0.5
-    J2: float = 0.0
-    h_b: float = 0.0
-    h_x: float = 0.0
-    # mfim couplings
-    g: float = 1.1
-    h: float = 0.35
-    h1: float = 0.25
-    hL: float = -0.25
-
-    _PARSERS: ClassVar[dict] = {
-        "experiment": str, "L": int, "L_values": _to_int_list,
-        "q": _to_int_list, "frame": str, "theta": _to_float_list,
-        "phi": float, "s_values": _to_float_list, "samples": int,
-        "realizations": int, "checkpoints": _to_int_list, "seed": int,
-        "window": float, "fraction": float, "threads": int, "out": str,
-        "format": str, "allow_large": _to_bool, "histogram_bins": int,
-        "xi_variant": str, "J1": float, "delta": float, "J2": float,
-        "h_b": float, "h_x": float, "g": float, "h": float, "h1": float,
-        "hL": float,
-    }
-
-    def __post_init__(self):
-        if self.format not in ("csv", "jsonl"):
-            raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
-
-    @classmethod
-    def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        kwargs = {}
-        for key, value in raw.items():
-            parser = cls._PARSERS.get(key)
-            if parser is None:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = parser(value) if isinstance(value, str) else value
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
-        return cls(**kwargs)
-
-    def override(self, **kwargs) -> "ExperimentConfig":
-        """New config with the non-None kwargs replacing file values."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        for key in updates:
-            if key not in self._PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-        return dataclasses.replace(self, **updates)
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            if f.name.startswith("_"):
-                continue
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
 
 
 def parse_config_text(text: str) -> dict:
@@ -146,10 +33,11 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path) -> dict:
+    """The raw string mapping of a config file."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    return ExperimentConfig.from_mapping(parse_config_text(text))
+    return parse_config_text(text)

@@ -10,9 +10,9 @@ the end without ever rounding the rational.
 
 The second moment is a sum of thirteen grouped permutation classes; four
 of them reduce to the combinatorial kernels K1..K4 below.  K1 and K4 are
-alternating sums of products of :func:`sectormagic.kravchuk.kravchuk_int`
-values whose (-i)^b phases are tracked exactly as Gaussian integers; the
-imaginary part must cancel identically and this is asserted.
+sums of products of :func:`sectormagic.kravchuk.kravchuk_int` values.  K1's
+(-i)^b phases are tracked exactly as Gaussian integers; the imaginary part
+must cancel identically and this is asserted.  Every K4 term has phase 1.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def m2_mean_bound(L: int, q: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# second moment: Gaussian-integer accumulation of the K1 and K4 kernels
+# second moment: the K1 (Gaussian-integer) and K4 kernels
 
 _PHASE = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^t as (re, im)
 
@@ -138,8 +138,10 @@ def _k1_numerator(L: int, q: int) -> int:
 @lru_cache(maxsize=None)
 def _k4_numerator(L: int, q: int) -> int:
     """2^{4L} K4(L,q).  The second fourth-power factor carries frequency 0
-    (it arises from the difference pair), the first the full charge q."""
-    acc = [0, 0]
+    (it arises from the difference pair), the first the full charge q.
+    K4 is real by construction: every term carries the phase
+    (-i)^{4(L-k)} = 1, so the terms are summed as plain integers."""
+    total = 0
     for k in range(L + 1):
         cl = math.comb(L, k)
         for j in range(k + 1):
@@ -151,12 +153,8 @@ def _k4_numerator(L: int, q: int) -> int:
                 f2 = kravchuk_int(j, p, 0)
                 if f2 == 0:
                     continue
-                coeff = ckj * math.comb(L - k, p) * f1 ** 4 * f2 ** 4
-                b_total = 4 * (L - k - p) + 4 * p
-                _gaussian_add(acc, coeff, b_total)
-    if acc[1] != 0:
-        raise ArithmeticError(f"K4 imaginary part nonzero at L={L}, q={q}")
-    return acc[0]
+                total += ckj * math.comb(L - k, p) * f1 ** 4 * f2 ** 4
+    return total
 
 
 def _k2(L: int, q: int) -> int:

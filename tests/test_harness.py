@@ -10,7 +10,6 @@ from sectormagic import mean_sp2
 from sectormagic.harness import (
     CSV_HEADER,
     ConfigError,
-    ExperimentConfig,
     RunRecord,
     SummaryStats,
     format_value,
@@ -28,7 +27,7 @@ from sectormagic.harness import (
     write_summary,
 )
 from sectormagic.harness import experiments
-from sectormagic.harness.cli import main
+from sectormagic.harness.cli import main, resolve
 
 
 # ---------------------------------------------------------------------------
@@ -148,33 +147,72 @@ def test_parse_config_text():
 
 
 def test_config_mapping_and_roundtrip(tmp_path):
-    cfg = ExperimentConfig.from_mapping(
-        {"L": "6", "q": "0,2", "samples": "50", "allow_large": "true",
-         "window": "0.25"}
-    )
-    assert cfg.L == 6 and cfg.q == [0, 2] and cfg.samples == 50
-    assert cfg.allow_large is True and cfg.window == 0.25
     path = tmp_path / "c.cfg"
-    path.write_text(cfg.to_text())
-    again = load_config(path)
-    assert again == cfg
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_mapping({"nonsense": "1"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_mapping({"L": "abc"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_mapping({"format": "xml"})
+    path.write_text("L = 6\nq = 0,2\nsamples = 50\nallow_large = true\n")
+    values = resolve("sample", load_config(path))
+    assert values["L"] == 6 and values["q"] == [0, 2]
+    assert values["samples"] == 50 and values["allow_large"] is True
+    assert resolve("csyk", {"window": "0.25"})["window"] == 0.25
+    for raw in ({"nonsense": "1"}, {"L": "abc"}, {"format": "xml"}):
+        with pytest.raises(ConfigError):
+            resolve("sample", raw)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")
 
 
 def test_config_override():
-    cfg = ExperimentConfig()
-    out = cfg.override(L=9, samples=None, seed=3)
-    assert out.L == 9 and out.seed == 3
-    assert out.samples == cfg.samples  # None leaves the file value
+    file = {"L": "4", "samples": "30"}
+    values = resolve("sample", file, {"L": ["9"], "seed": ["3"]})
+    assert values["L"] == 9 and values["seed"] == 3
+    assert values["samples"] == 30  # an unset flag leaves the file value
     with pytest.raises(ConfigError):
-        cfg.override(bogus=1)
+        resolve("sample", file, {"bogus": ["1"]})
+
+
+#: effective values with only the required flags, as the drivers received
+#: them before the experiment table existed
+DEFAULTS = {
+    "analytic mean": {"L": 4, "q": 0},
+    "analytic variance": {"L": 4, "q": 0,
+                          "k2_coefficient": "sector-dimension"},
+    "analytic asymptotic": {"s": 0.5, "xi_variant": "hessian"},
+    "analytic tilted": {"L": 4, "q": 0, "theta": 0.3, "phi": 0.0},
+    "sample": {"L": 8, "q": [0], "samples": 1000, "frame": "z",
+               "histogram_bins": 200, "allow_large": False},
+    "variance-convergence": {"L": 8, "q": [0], "samples": 1000,
+                             "checkpoints": [], "allow_large": False},
+    "csyk": {"L": 8, "q": [0], "realizations": 100, "window": None,
+             "fraction": 0.1},
+    "xxz": {"L": 8, "q": [0], "realizations": 1, "window": 0.25,
+            "fraction": None, "J1": 1.0, "delta": 0.5, "J2": 0.0, "h_b": 0.0,
+            "h_x": 0.0},
+    "mfim": {"L": 8, "realizations": 1, "window": None, "fraction": 0.1,
+             "g": 1.1, "h": 0.35, "h1": 0.25, "hL": -0.25},
+    "mixed": {"L": 8, "q": 0, "theta": [0.3], "phi": 0.0, "samples": 1000,
+              "allow_large": False},
+    "collapse": {"L_values": [6, 8, 10], "s_values": [0.0, 0.25, 0.5],
+                 "xi_variant": "hessian", "seed": 0, "out": None,
+                 "format": "csv"},
+    "self-averaging": {"L_values": [6, 8, 10], "realizations": 50,
+                       "fraction": 0.1},
+    "pe-check": {"L": 8, "q": 0, "samples": 1000, "allow_large": False},
+}
+REQUIRED_FLAGS = {
+    "analytic mean": {"L": ["4"], "q": ["0"]},
+    "analytic variance": {"L": ["4"], "q": ["0"]},
+    "analytic asymptotic": {"s": ["0.5"]},
+    "analytic tilted": {"L": ["4"], "q": ["0"], "theta": ["0.3"]},
+    "mixed": {"theta": ["0.3"]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_effective_defaults_pinned(command):
+    expected = dict(DEFAULTS[command])
+    if not command.startswith("analytic") and command != "collapse":
+        expected.update(seed=0, threads=None, out=None, format="csv")
+    values = resolve(command, flags=REQUIRED_FLAGS.get(command))
+    assert values == expected
 
 
 def test_resolve_threads(monkeypatch):
@@ -486,6 +524,61 @@ def test_cli_window_and_fraction_together_refused(capsys):
                                        "--realizations", "1",
                                        "--threads", "1"])
         assert "exactly one of window / fraction" in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    # a one-value key given several values
+    ("experiment = pe-check\nL = 2\nq = 0,2\nsamples = 2\n", ["run"]),
+    ("experiment = mixed\nL = 2\nq = 0,2\ntheta = 0.3\nsamples = 2\n",
+     ["run"]),
+    # keys the experiment does not read
+    ("experiment = sample\nL = 2\nsamples = 2\nwindow = 0.25\n", ["run"]),
+    ("experiment = sample\nL = 2\nsamples = 2\nrealizations = 3\n",
+     ["run"]),
+    ("experiment = mfim\nL = 2\nq = 2\n", ["run"]),
+    ("experiment = collapse\nL_values = 16\n", ["run", "--threads", "1"]),
+    # values outside a key's choices
+    ("L = 2\nsamples = 2\nframe = w\n", ["sample"]),
+    ("L_values = 16\nxi_variant = bogus\n", ["collapse"]),
+    # the file is for another experiment
+    ("experiment = csyk\nL = 2\nsamples = 2\n", ["sample"]),
+    # analytic payloads read no config file
+    ("L = 2\nq = 0\n", ["analytic", "mean", "--L", "2", "--q", "0"]),
+], ids=["pe-check-q", "mixed-q", "sample-window", "sample-realizations",
+        "mfim-q", "collapse-threads", "frame", "xi-variant",
+        "wrong-experiment", "analytic-config"])
+def test_cli_config_keys_checked(tmp_path, capsys, text, argv):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    _refused(capsys, ["--config", str(cfg)] + argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "mean", "--L", "4", "--q", "1"],  # empty sector
+    ["analytic", "variance", "--L", "0", "--q", "0"],
+    ["analytic", "tilted", "--L", "4", "--q", "6", "--theta", "0.3"],
+    ["analytic", "asymptotic", "--s", "1.5"],  # density outside [0, 1)
+    ["collapse", "--L", "16", "--s", "1.5"],
+    ["collapse", "--L", "0", "--s", "0.2"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_cli_degenerate_analytic_request_refused(capsys, argv):
+    _refused(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--L", "2", "--samples", "2", "--histogram-bins", "-3"],
+    ["variance-convergence", "--L", "2", "--samples", "3",
+     "--checkpoints", "a,b"],
+    ["mixed", "--L", "2", "--theta", "0.3", "--phi", "nan",
+     "--samples", "2"],
+    ["mixed", "--L", "2", "--theta", "inf", "--samples", "2"],
+    ["csyk", "--L", "4", "--window", "nan", "--realizations", "1"],
+    ["xxz", "--L", "4", "--J2", "inf"],
+    ["mfim", "--L", "2", "--fraction", "nan"],
+    ["self-averaging", "--L", "4", "--fraction", "nan"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_cli_bad_flag_values_refused_up_front(capsys, argv):
+    _refused(capsys, argv + ["--seed", "0", "--threads", "1"])
 
 
 def test_cli_one_state_sector_gives_null_statistics(capsys):
