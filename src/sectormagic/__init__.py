@@ -7,7 +7,7 @@ sectors       charge-sector bookkeeping and measurement-frame rotations
 kravchuk      exact integer trigonometric Fourier kernels
 moments       exact rational ensemble moments, tilted charges, PE references
 asymptotics   large-L saddle-point predictions
-sampler       deterministic Haar / sector-constrained state generation
+sampler       deterministic sector-constrained Haar state generation
 magic         stabilizer purity, entropy, participation entropy kernels
 hamiltonians  quartic-fermion, XXZ-NNN and mixed-field Ising models
 harness       experiments, streaming statistics, persistence, CLI
@@ -17,11 +17,10 @@ from .sectors import (
     Direction,
     SectorBasisMap,
     apply_frame_rotation,
-    charge_expectation,
     enumerate_sector,
     sector_dimension,
 )
-from .kravchuk import binomial, h_sum, kravchuk_J, kravchuk_int
+from .kravchuk import binomial, h_sum, kravchuk_int
 from .moments import (
     AnalyticMoments,
     SectorError,
@@ -35,7 +34,6 @@ from .moments import (
     pe_moment_mean,
     pe_shannon_mean,
     porter_thomas_cdf,
-    porter_thomas_pdf,
     second_moment_sp2,
     tilted_m2_bound,
     variance_sp2,
@@ -50,7 +48,6 @@ from .sampler import (
     GaussianStream,
     SeedPolicy,
     constrained_haar_state,
-    haar_state,
 )
 from .magic import (
     PauliSpectrumSummary,

@@ -9,24 +9,22 @@ m(s) L + g(s) + O(1/L) with
     m(s)   = 4 H2((1-s)/2) - F*(s)/ln 2 - 3
     g(s)   = -log2(8 (1-s^2)^2 xi(s))
 
-where H2 is the binary entropy in bits and xi = |det Hess|^{-1/2} is the
-Gaussian-fluctuation factor of the four-dimensional saddle.  Two variants
-of xi are provided: "hessian" (default), obtained from the determinant
+where H2 is the binary entropy in bits and xi = |det H|^{-1/2} is the
+Gaussian-fluctuation factor of the four-dimensional saddle, with
 
-    det H = 256 (3s+R)^3 (1-s)^4 (1 + 8 s^2 + 3 s R) / (1 + 8 s + 3 R)^4
+    det H = 256 (3s+R)^3 (1-s)^4 (1 + 8 s^2 + 3 s R) / (1 + 8 s + 3 R)^4,
 
-of the Hessian (whose 3+1 eigenvalue structure follows from its
-symmetric-plus-rank-one form), giving xi(0) = 1 and g(0) = -3; and
-"printed", the variant [(3+R)^5 / (4 (1-s^2)^4 (1+8s^2+3R))]^{1/2} that
-gives xi(0) = 8 and g(0) = -6.  The exact finite-size formula
-adjudicates: -log2 mean - L converges to -3, so "hessian" is the default
-and the acceptance suite pins the choice.
+so xi(0) = 1 and g(0) = -3, the limit of the exact finite-size formula.
+The rejected printed xi, which gives g(0) = -6, lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .sectors import Direction
 
 __all__ = [
     "AsymptoticPrediction",
@@ -37,12 +35,7 @@ __all__ = [
     "asymptotic_prediction",
     "tilted_asymptotic_q0",
     "nearest_sector_charge",
-    "XI_HESSIAN",
-    "XI_PRINTED",
 ]
-
-XI_HESSIAN = "hessian"
-XI_PRINTED = "printed"
 
 
 def binary_entropy(p: float) -> float:
@@ -72,24 +65,18 @@ def saddle_exponent(s: float) -> float:
     return -math.log((3 - r) / 2) - s * math.log(z_saddle(s))
 
 
-def xi_factor(s: float, variant: str = XI_HESSIAN) -> float:
+def xi_factor(s: float) -> float:
     """Gaussian-fluctuation factor |det Hess|^{-1/2} at the saddle."""
     s = _check_density(s)
     r = math.sqrt(1 + 8 * s * s)
-    if variant == XI_HESSIAN:
-        det = (
-            256
-            * (3 * s + r) ** 3
-            * (1 - s) ** 4
-            * (1 + 8 * s * s + 3 * s * r)
-            / (1 + 8 * s + 3 * r) ** 4
-        )
-        return 1.0 / math.sqrt(det)
-    if variant == XI_PRINTED:
-        return math.sqrt(
-            (3 + r) ** 5 / (4 * (1 - s * s) ** 4 * (1 + 8 * s * s + 3 * r))
-        )
-    raise ValueError(f"unknown xi variant {variant!r}")
+    det = (
+        256
+        * (3 * s + r) ** 3
+        * (1 - s) ** 4
+        * (1 + 8 * s * s + 3 * s * r)
+        / (1 + 8 * s + 3 * r) ** 4
+    )
+    return 1.0 / math.sqrt(det)
 
 
 @dataclass(frozen=True)
@@ -104,12 +91,12 @@ class AsymptoticPrediction:
     g: float
 
 
-def asymptotic_prediction(s: float, xi_variant: str = XI_HESSIAN) -> AsymptoticPrediction:
+def asymptotic_prediction(s: float) -> AsymptoticPrediction:
     """Volume coefficient m(s) and offset g(s) of the typical entropy."""
     s = _check_density(s)
     z = z_saddle(s)
     f_star = saddle_exponent(s)
-    xi = xi_factor(s, xi_variant)
+    xi = xi_factor(s)
     m = 4 * binary_entropy((1 - s) / 2) - f_star / math.log(2) - 3
     g = -math.log2(8 * (1 - s * s) ** 2 * xi)
     return AsymptoticPrediction(s=s, z=z, F_star=f_star, xi=xi, m=m, g=g)
@@ -118,12 +105,7 @@ def asymptotic_prediction(s: float, xi_variant: str = XI_HESSIAN) -> AsymptoticP
 def tilted_asymptotic_q0(direction) -> float:
     """Constant offset of the typical entropy at s = 0: the suppression is
     -3 when the charge axis is a coordinate axis and -2 otherwise."""
-    from .sectors import Direction
-
-    n = direction if isinstance(direction, Direction) else (
-        Direction.from_axis(direction) if isinstance(direction, str)
-        else Direction.normalized(direction)
-    )
+    n = Direction.of(direction)
     comps = sorted(abs(c) for c in (n.nx, n.ny, n.nz))
     axis_aligned = comps[2] > 1.0 - 1e-12 and comps[1] < 1e-12
     return -3.0 if axis_aligned else -2.0

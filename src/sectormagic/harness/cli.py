@@ -18,11 +18,12 @@ import math
 import sys
 from typing import Any, Callable, NamedTuple
 
-from ..asymptotics import (XI_HESSIAN, XI_PRINTED, _check_density,
-                           asymptotic_prediction, tilted_asymptotic_q0)
+from ..asymptotics import (_check_density, asymptotic_prediction,
+                           tilted_asymptotic_q0)
 from ..hamiltonians import NumericalContractError
-from ..moments import (K2_PRINTED, K2_SECTOR, SectorError, analytic_moments,
-                       levy_variance_bound, mean_sp2_tilted, tilted_m2_bound)
+from ..moments import (SectorError, analytic_moments, levy_variance_bound,
+                       m2_mean_bound, mean_sp2, mean_sp2_tilted,
+                       tilted_m2_bound)
 from ..sectors import Direction, sector_dimension
 from .config import ConfigError, load_config
 from .experiments import (run_asymptotic_collapse, run_disorder_sweep,
@@ -113,8 +114,6 @@ FRACTION = Key("fraction", _finite, None,
 THETAS = Key("theta", _finite, REQUIRED, "polar angle of the charge axis",
              many=True)
 PHI = Key("phi", _finite, 0.0, "azimuth of the charge axis")
-XI_VARIANT = Key("xi_variant", str, XI_HESSIAN, "saddle-point xi formula",
-                 choices=(XI_HESSIAN, XI_PRINTED))
 XXZ_COUPLINGS = tuple(Key(name, _finite, value, "xxz coupling") for name, value
                       in (("J1", 1.0), ("delta", 0.5), ("J2", 0.0),
                           ("h_b", 0.0), ("h_x", 0.0)))
@@ -126,21 +125,23 @@ ANALYTIC_CHARGE = CHARGE._replace(default=REQUIRED)
 
 
 def _analytic_mean(v: dict) -> dict:
-    mom = analytic_moments(v["L"], v["q"])
+    mean = mean_sp2(v["L"], v["q"])
     return {
         "L": v["L"], "q": v["q"],
         "dimension": sector_dimension(v["L"], v["q"]),
-        "mean_xi2": str(mom.mean),
-        "mean_xi2_float": float(mom.mean),
-        "m2_mean_bound": mom.m2_mean_bound,
+        "mean_xi2": str(mean),
+        "mean_xi2_float": float(mean),
+        "m2_mean_bound": m2_mean_bound(v["L"], v["q"]),
     }
 
 
+# the fixed "k2_coefficient" and "xi_variant" strings record which reading
+# of the printed formulas the payloads were computed with
 def _analytic_variance(v: dict) -> dict:
-    mom = analytic_moments(v["L"], v["q"], k2_coefficient=v["k2_coefficient"])
+    mom = analytic_moments(v["L"], v["q"])
     return {
         "L": v["L"], "q": v["q"],
-        "k2_coefficient": v["k2_coefficient"],
+        "k2_coefficient": "sector-dimension",
         "mean_xi2": str(mom.mean),
         "mean_xi2_float": float(mom.mean),
         "second_moment_xi2": str(mom.second_moment),
@@ -152,11 +153,11 @@ def _analytic_variance(v: dict) -> dict:
 
 
 def _analytic_asymptotic(v: dict) -> dict:
-    pred = asymptotic_prediction(v["s"], xi_variant=v["xi_variant"])
+    pred = asymptotic_prediction(v["s"])
     return {
         "s": pred.s, "z": pred.z, "F_star": pred.F_star,
         "xi": pred.xi, "m": pred.m, "g": pred.g,
-        "xi_variant": v["xi_variant"],
+        "xi_variant": "hessian",
     }
 
 
@@ -194,14 +195,10 @@ TABLE = {
         _analytic_mean),
     "analytic variance": Experiment(
         "exact sector mean/variance of Xi_2",
-        (ANALYTIC_SIZE, ANALYTIC_CHARGE,
-         Key("k2_coefficient", str, K2_SECTOR, "second-moment K2 prefactor",
-             choices=(K2_SECTOR, K2_PRINTED))),
-        _analytic_variance),
+        (ANALYTIC_SIZE, ANALYTIC_CHARGE), _analytic_variance),
     "analytic asymptotic": Experiment(
         "large-L prediction at density s",
-        (Key("s", _density, REQUIRED, "charge density q/L in [0, 1)"),
-         XI_VARIANT),
+        (Key("s", _density, REQUIRED, "charge density q/L in [0, 1)"),),
         _analytic_asymptotic),
     "analytic tilted": Experiment(
         "exact mean with a tilted charge axis",
@@ -245,10 +242,9 @@ TABLE = {
         "exact vs asymptotic residuals",
         (SIZES, Key("s_values", _density, (0.0, 0.25, 0.5),
                     "charge densities in [0, 1)", many=True, flag="--s"),
-         XI_VARIANT, SEED, OUT, FORMAT),
-        lambda v: run_asymptotic_collapse(
-            v["L_values"], v["s_values"], xi_variant=v["xi_variant"],
-            seed=v["seed"])),
+         SEED, OUT, FORMAT),
+        lambda v: run_asymptotic_collapse(v["L_values"], v["s_values"],
+                                          seed=v["seed"])),
     "self-averaging": Experiment(
         "disorder fluctuations vs system size",
         (SIZES, REALIZATIONS._replace(default=50),

@@ -34,7 +34,7 @@ from ..moments import (
     porter_thomas_cdf,
     variance_sp2,
 )
-from ..asymptotics import XI_HESSIAN, asymptotic_prediction, nearest_sector_charge
+from ..asymptotics import asymptotic_prediction, nearest_sector_charge
 from ..sampler import GaussianStream, SeedPolicy, constrained_haar_state
 from ..magic import pauli_spectrum, shannon_pe
 from ..hamiltonians import (
@@ -74,16 +74,19 @@ _BLOCK_DIM_CAP = 2 ** 14  # the largest block any builder ever accepted
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: explicit flag > SECTORMAGIC_THREADS > cpu count."""
-    if flag is not None:
-        return max(1, int(flag))
-    env = os.environ.get("SECTORMAGIC_THREADS")
-    if env:
+    """Worker count: explicit flag > SECTORMAGIC_THREADS > cpu count.  A
+    count below 1 from either source is refused."""
+    if flag is None:
+        env = os.environ.get("SECTORMAGIC_THREADS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            flag = int(env)
         except ValueError:
             raise ConfigError(f"SECTORMAGIC_THREADS is not an integer: {env!r}")
-    return os.cpu_count() or 1
+    if int(flag) < 1:
+        raise ConfigError(f"worker count must be >= 1, got {flag}")
+    return int(flag)
 
 
 def _size_check(Ls, qs, L_range, dim_cap: int, what: str):
@@ -115,12 +118,6 @@ def _z_score(stats: SummaryStats, exact: float, d: int):
     if stats.count < 2 or d == 1:
         return None
     return (stats.mean - exact) / stats.sem
-
-
-def _frame_tag(spec) -> str:
-    if isinstance(spec, str):
-        return spec
-    return "t%.12g:p%.12g" % tuple(spec)
 
 
 def _parallel_chunks(worker, arglist, threads: int):
@@ -268,14 +265,11 @@ def run_ensemble_experiment(L, qs, samples, frame="z", seed=0, threads=None,
     ensemble moments attached for comparison."""
     qs = list(qs)
     _budget_check(L, qs, allow_large)
-    tag = _frame_tag(frame)  # before the spec becomes a Direction
-    if not isinstance(frame, str):
-        frame = Direction.from_angles(*frame)
 
     records = []
     sectors = {}
     for q in qs:
-        rows, hist = _haar_draws(f"sample:L={L}:q={q}:frame={tag}", samples,
+        rows, hist = _haar_draws(f"sample:L={L}:q={q}:frame={frame}", samples,
                                  seed, threads, L, q, frame,
                                  _SAMPLE_OBS, histogram_bins)
         stats = {obs: SummaryStats() for obs in _SAMPLE_OBS}
@@ -308,7 +302,7 @@ def run_ensemble_experiment(L, qs, samples, frame="z", seed=0, threads=None,
         "experiment": "sample",
         "seed": seed,
         "L": L,
-        "frame": tag,
+        "frame": frame,
         "samples": samples,
         "sectors": sectors,
     }
@@ -558,7 +552,7 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
 # exact-vs-asymptotic collapse
 # ---------------------------------------------------------------------------
 
-def run_asymptotic_collapse(Ls, s_values, xi_variant=XI_HESSIAN, seed=0):
+def run_asymptotic_collapse(Ls, s_values, seed=0):
     """Exact -log2 E[Xi_2] against the large-L prediction L*m(s) + g(s).
 
     No sampling: the exact sector mean is evaluated in rational arithmetic
@@ -569,7 +563,7 @@ def run_asymptotic_collapse(Ls, s_values, xi_variant=XI_HESSIAN, seed=0):
     per_s = []
     task = 0
     for s in s_values:
-        pred = asymptotic_prediction(s, xi_variant=xi_variant)
+        pred = asymptotic_prediction(s)
         rows = []
         for L in Ls:
             q = nearest_sector_charge(L, s)
@@ -598,7 +592,7 @@ def run_asymptotic_collapse(Ls, s_values, xi_variant=XI_HESSIAN, seed=0):
     summary = {
         "experiment": "collapse",
         "seed": seed,
-        "xi_variant": xi_variant,
+        "xi_variant": "hessian",
         "L_values": list(Ls),
         "s_values": [float(s) for s in s_values],
         "per_s": per_s,

@@ -1,4 +1,4 @@
-"""Streaming summary statistics with exact mergeability (Welford / Chan)."""
+"""Streaming summary statistics (Welford)."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 class SummaryStats:
     """Single-pass count / mean / variance (ddof=1) / min / max accumulator.
 
-    update() is the Welford recurrence; merge() is the pairwise (Chan)
-    combination, so chunked accumulation is supported.  Results of a fixed
-    update order are bit-reproducible.
+    update() is the Welford recurrence; the reducers feed it in task
+    order, so results are bit-reproducible.
     """
 
     count: int = 0
@@ -32,34 +31,6 @@ class SummaryStats:
         if x > self.max:
             self.max = x
         return self
-
-    def update_many(self, xs) -> "SummaryStats":
-        for x in xs:
-            self.update(x)
-        return self
-
-    def merge(self, other: "SummaryStats") -> "SummaryStats":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self.m2 = other.m2
-            self.min = other.min
-            self.max = other.max
-            return self
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 += other.m2 + delta * delta * self.count * other.count / n
-        self.mean += delta * other.count / n
-        self.count = n
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
-
-    @classmethod
-    def from_values(cls, xs) -> "SummaryStats":
-        return cls().update_many(xs)
 
     @property
     def variance(self) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["binomial", "kravchuk_int", "kravchuk_J", "h_sum"]
+__all__ = ["binomial", "kravchuk_int", "h_sum"]
 
 
 def binomial(n: int, k: int) -> int:
@@ -41,18 +41,6 @@ def kravchuk_int(a: int, b: int, q: int) -> int:
     for m in range(max(0, top - a), min(b, top) + 1):
         total += (-1) ** m * math.comb(a, top - m) * math.comb(b, m)
     return total
-
-
-def kravchuk_J(a: int, b: int, q: int) -> complex:
-    """The Fourier coefficient itself, (-i)^b K_q(a,b) / 2^(a+b).
-
-    The value is an exact dyadic rational times a fourth root of unity;
-    the returned complex double is exact as long as |K| < 2^53 (always
-    true for the a+b <= 16 quadrature-checked range and far beyond).
-    """
-    k = kravchuk_int(a, b, q)
-    phase = (1, -1j, -1, 1j)[b % 4]  # (-i)^b
-    return phase * (k / 2 ** (a + b))
 
 
 def h_sum(L: int, q: int) -> int:

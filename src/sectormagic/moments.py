@@ -3,16 +3,16 @@ random states, tilted-charge generalizations, participation-entropy
 references, and concentration bounds.
 
 All closed forms are evaluated in arbitrary-precision integer/rational
-arithmetic at every system size (Python integers make the log-domain
-fallback unnecessary even at L = 256); callers that only need
--log2(mean) use :func:`m2_mean_bound`, which extracts the logarithm at
-the end without ever rounding the rational.
+arithmetic (no log-domain fallback, even at L = 256);
+:func:`m2_mean_bound` takes the logarithm of the exact mean at the end.
 
-The second moment is a sum of thirteen grouped permutation classes; four
-of them reduce to the combinatorial kernels K1..K4 below.  K1 and K4 are
-sums of products of :func:`sectormagic.kravchuk.kravchuk_int` values.  K1's
-(-i)^b phases are tracked exactly as Gaussian integers; the imaginary part
-must cancel identically and this is asserted.  Every K4 term has phase 1.
+The second moment sums thirteen grouped permutation classes; the 960-class
+prefactor multiplies the sector dimension d_q.  Four classes reduce to the
+kernels K1..K4 below, K1 and K4 being sums of products of
+:func:`sectormagic.kravchuk.kravchuk_int` values.  K1's (-i)^b phases are
+tracked exactly as Gaussian integers and its imaginary part is asserted to
+cancel.  The rejected 2^{5L} reading of the 960-class prefactor lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "tilt_factors",
     "pe_moment_mean",
     "pe_shannon_mean",
-    "porter_thomas_pdf",
     "porter_thomas_cdf",
     "levy_tail_bound",
     "levy_variance_bound",
@@ -52,11 +51,6 @@ __all__ = [
 #: Lipschitz constant of the 2-stabilizer-purity as a function of the state,
 #: entering the concentration-of-measure bounds.
 LIPSCHITZ_ETA = 5.4
-
-#: Default resolution of the second-moment coefficient question: the
-#: 960-class prefactor multiplies the sector dimension, not 2^{5L}.
-K2_SECTOR = "sector-dimension"
-K2_PRINTED = "printed-power"
 
 
 class SectorError(ValueError):
@@ -157,10 +151,11 @@ def _k4_numerator(L: int, q: int) -> int:
     return total
 
 
-def _k2(L: int, q: int) -> int:
-    """K2(L,q) = sum_m C(L,2m) C(2m,m)^2 C(L-2m, (L-2m-q)/2)^2.
+def _k_central(L: int, q: int, power: int) -> int:
+    """K2 (power 2) and K3 (power 3):
+    sum_m C(L,2m) C(2m,m)^power C(L-2m, (L-2m-q)/2)^power.
 
-    The charge sits only in the second binomial; the first pair is the
+    The charge sits only in the second binomial; the first is the
     charge-blind central binomial.
     """
     total = 0
@@ -170,57 +165,33 @@ def _k2(L: int, q: int) -> int:
             continue
         total += (
             math.comb(L, 2 * m)
-            * math.comb(2 * m, m) ** 2
-            * binomial(n, (n - q) // 2) ** 2
-        )
-    return total
-
-
-def _k3(L: int, q: int) -> int:
-    """Same sum as K2 with cubed binomials."""
-    total = 0
-    for m in range(L // 2 + 1):
-        n = L - 2 * m
-        if (n - q) % 2 != 0:
-            continue
-        total += (
-            math.comb(L, 2 * m)
-            * math.comb(2 * m, m) ** 3
-            * binomial(n, (n - q) // 2) ** 3
+            * math.comb(2 * m, m) ** power
+            * binomial(n, (n - q) // 2) ** power
         )
     return total
 
 
 @lru_cache(maxsize=None)
-def second_moment_sp2(L: int, q: int, k2_coefficient: str = K2_SECTOR) -> Fraction:
+def second_moment_sp2(L: int, q: int) -> Fraction:
     """Exact second moment of the 2-stabilizer-purity over sector q.
 
     Thirteen grouped permutation classes; their integer prefactors sum to
-    8! = 40320.  `k2_coefficient` selects the resolution of the 960-class
-    prefactor: "sector-dimension" (default, 960 d_q + 5920) or
-    "printed-power" (960 2^{5L} + 5920); the default is the one consistent
-    with Monte Carlo and with the one-dimensional-sector identity.
+    8! = 40320.
     """
     d = _check_sector(L, q)
     hq = Fraction(h_sum(L, q), 2 ** L)
-    if k2_coefficient == K2_SECTOR:
-        c960 = 960 * d + 5920
-    elif k2_coefficient == K2_PRINTED:
-        c960 = 960 * 2 ** (5 * L) + 5920
-    else:
-        raise ValueError(f"unknown k2_coefficient {k2_coefficient!r}")
     total = hq * (96 * d * d + 640 * d + 1536 + 16 * hq)
     total += d * (144 * d ** 3 + 3648 * d ** 2 + 17152 * d + 8704)
     total += 256 * Fraction(_k1_numerator(L, q), 4 ** L)
-    total += c960 * _k2(L, q)
-    total += 1152 * _k3(L, q)
+    total += (960 * d + 5920) * _k_central(L, q, 2)
+    total += 1152 * _k_central(L, q, 3)
     total += 96 * Fraction(_k4_numerator(L, q), 2 ** L)
     return total / (math.factorial(8) * math.comb(d + 7, 8))
 
 
-def variance_sp2(L: int, q: int, k2_coefficient: str = K2_SECTOR) -> Fraction:
+def variance_sp2(L: int, q: int) -> Fraction:
     """Exact ensemble variance of the 2-stabilizer-purity."""
-    return second_moment_sp2(L, q, k2_coefficient) - mean_sp2(L, q) ** 2
+    return second_moment_sp2(L, q) - mean_sp2(L, q) ** 2
 
 
 @dataclass(frozen=True)
@@ -233,14 +204,10 @@ class AnalyticMoments:
     second_moment: Fraction
     variance: Fraction
 
-    @property
-    def m2_mean_bound(self) -> float:
-        return math.log2(self.mean.denominator) - math.log2(self.mean.numerator)
 
-
-def analytic_moments(L: int, q: int, k2_coefficient: str = K2_SECTOR) -> AnalyticMoments:
+def analytic_moments(L: int, q: int) -> AnalyticMoments:
     m = mean_sp2(L, q)
-    s = second_moment_sp2(L, q, k2_coefficient)
+    s = second_moment_sp2(L, q)
     return AnalyticMoments(L, q, m, s, s - m * m)
 
 
@@ -251,10 +218,7 @@ def analytic_moments(L: int, q: int, k2_coefficient: str = K2_SECTOR) -> Analyti
 def tilt_factors(direction) -> tuple[float, float, float]:
     """The three symmetric polynomials (f, g, w) of the charge axis that
     enter the tilted-axis mean.  All are 1 on coordinate axes."""
-    n = direction if isinstance(direction, Direction) else (
-        Direction.from_axis(direction) if isinstance(direction, str)
-        else Direction.normalized(direction)
-    )
+    n = Direction.of(direction)
     n1, n2, n3 = n.nx, n.ny, n.nz
     f = (n1 - n2 - n3) * (n1 + n2 - n3) * (n1 - n2 + n3) * (n1 + n2 + n3)
     s4 = n1 ** 4 + n2 ** 4 + n3 ** 4
@@ -331,18 +295,6 @@ def pe_shannon_mean(d: int) -> float:
         raise ValueError("require d >= 1")
     harmonic = sum(1.0 / p for p in range(1, d + 1))
     return (harmonic - 1.0) / math.log(2)
-
-
-def porter_thomas_pdf(w, d: int):
-    """Density of the rescaled sector weight w = d |c_x|^2, on [0, d]:
-    ((d-1)/d) (1 - w/d)^{d-2}.  Degenerate (point mass at 1) for d = 1."""
-    w = np.asarray(w, dtype=float)
-    if d < 2:
-        return np.zeros_like(w)
-    out = np.where(
-        (w >= 0) & (w <= d), (d - 1) / d * (1.0 - w / d) ** (d - 2), 0.0
-    )
-    return out if out.ndim else float(out)
 
 
 def porter_thomas_cdf(w, d: int):

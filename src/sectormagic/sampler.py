@@ -1,5 +1,5 @@
-"""Deterministic, platform-independent sampling of Haar and
-sector-constrained random pure states.
+"""Deterministic, platform-independent sampling of sector-constrained
+Haar-random pure states.
 
 Stream derivation: SHA-256 of "master:experiment:task" truncated to a
 128-bit Philox key.  Uniform variates come from the bit generator's raw
@@ -21,7 +21,6 @@ from .sectors import SectorBasisMap, apply_frame_rotation, enumerate_sector
 __all__ = [
     "SeedPolicy",
     "GaussianStream",
-    "haar_state",
     "constrained_haar_state",
 ]
 
@@ -41,17 +40,6 @@ class GaussianStream:
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1] (left-open so log is always finite)."""
         return ((self.raw(n) >> 11) + 1) * 2.0 ** -53
-
-    def standard_normals(self, n: int) -> np.ndarray:
-        """n i.i.d. N(0, 1) variates via Box-Muller (pairs, fixed draw count)."""
-        m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        r = np.sqrt(-2.0 * np.log(u[:m]))
-        ang = _TWO_PI * u[m:]
-        z = np.empty(2 * m)
-        z[0::2] = r * np.cos(ang)
-        z[1::2] = r * np.sin(ang)
-        return z[:n]
 
     def complex_normals(self, n: int) -> np.ndarray:
         """n i.i.d. standard complex Gaussians (E|z|^2 = 1): sqrt(-ln u) e^{2 pi i v}."""
@@ -83,16 +71,6 @@ def _as_stream(seed) -> GaussianStream:
     if isinstance(seed, GaussianStream):
         return seed
     return SeedPolicy(int(seed)).stream("adhoc", 0)
-
-
-def haar_state(L: int, seed) -> np.ndarray:
-    """Haar-random pure state: 2^L i.i.d. complex Gaussians, normalized."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    stream = _as_stream(seed)
-    psi = stream.complex_normals(2 ** L)
-    psi /= np.linalg.norm(psi)
-    return psi
 
 
 def _sector_or_raise(L: int, q: int) -> SectorBasisMap:

@@ -27,7 +27,6 @@ __all__ = [
     "Direction",
     "frame_rotation_matrix",
     "apply_frame_rotation",
-    "charge_expectation",
 ]
 
 
@@ -52,9 +51,8 @@ def sector_dimension(L: int, q: int) -> int:
 class SectorBasisMap:
     """Ordered basis of a charge sector.
 
-    `states` lists the member bitstrings in strictly increasing order, so
-    position-in-sector <-> full-space index conversions are a lookup and a
-    binary search respectively.
+    `states` lists the member bitstrings in strictly increasing order:
+    sector position i holds the full-space index states[i].
     """
 
     L: int
@@ -65,22 +63,11 @@ class SectorBasisMap:
     def dimension(self) -> int:
         return len(self.states)
 
-    def position(self, x: int) -> int:
-        """Position of full-space index x inside the sector."""
-        i = int(np.searchsorted(self.states, x))
-        if i == len(self.states) or self.states[i] != x:
-            raise KeyError(f"bitstring {x:#x} not in sector (L={self.L}, q={self.q})")
-        return i
-
     def embed(self, coeffs: np.ndarray) -> np.ndarray:
         """Scatter sector coefficients into a full 2^L amplitude vector."""
         full = np.zeros(2 ** self.L, dtype=complex)
         full[self.states] = coeffs
         return full
-
-    def restrict(self, state: np.ndarray) -> np.ndarray:
-        """Gather the sector components of a full amplitude vector."""
-        return np.asarray(state)[self.states]
 
 
 @functools.cache
@@ -127,6 +114,16 @@ class Direction:
     def from_angles(cls, theta: float, phi: float = 0.0) -> "Direction":
         st = math.sin(theta)
         return cls(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+
+    @classmethod
+    def of(cls, spec) -> "Direction":
+        """A Direction from a Direction, an axis name or a vector (which is
+        normalized)."""
+        if isinstance(spec, Direction):
+            return spec
+        if isinstance(spec, str):
+            return cls.from_axis(spec)
+        return cls.normalized(spec)
 
     @classmethod
     def normalized(cls, n) -> "Direction":
@@ -206,36 +203,3 @@ def apply_frame_rotation(state: np.ndarray, frame, inverse: bool = False) -> np.
         v[:, 0, :] = a
         v[:, 1, :] = b
     return out
-
-
-def _direction_of(direction) -> Direction:
-    if isinstance(direction, Direction):
-        return direction
-    if isinstance(direction, str):
-        return Direction.from_axis(direction)
-    return Direction.normalized(direction)
-
-
-def charge_expectation(state: np.ndarray, direction="z") -> float:
-    """<psi| sum_j n . sigma_j |psi> by per-qubit accumulation, O(L 2^L).
-
-    Never materializes the 2^L x 2^L operator.
-    """
-    n = _direction_of(direction)
-    psi = np.asarray(state, dtype=complex)
-    N = psi.size
-    L = N.bit_length() - 1
-    total = 0.0
-    probs = np.abs(psi) ** 2 if n.nz != 0.0 else None
-    xs = np.arange(N, dtype=np.int64) if n.nz != 0.0 else None
-    for j in range(L):
-        if n.nz != 0.0:
-            # <sigma^z_j> = sum_x |c_x|^2 (1 - 2 bit_j(x))
-            bits = (xs >> j) & 1
-            total += n.nz * float(np.sum(probs * (1 - 2 * bits)))
-        if n.nx != 0.0 or n.ny != 0.0:
-            v = psi.reshape(-1, 2, 2 ** j)
-            a = complex(np.sum(np.conjugate(v[:, 0, :]) * v[:, 1, :]))
-            # <sigma^x_j> = 2 Re a, <sigma^y_j> = 2 Im a
-            total += 2.0 * (n.nx * a.real + n.ny * a.imag)
-    return total

@@ -6,17 +6,24 @@ dense Kronecker Pauli matrices and frame rotations, direct trigonometric
 quadrature) so that agreement is meaningful.  The exceptions are removed
 fast paths kept to pin bytes: `pauli_spectrum_all_masks` and
 `csyk_index_maps_loop` are the code the package replaced, and its
-output must equal theirs exactly.
+output must equal theirs exactly.  `haar_state`, `charge_expectation`,
+`kravchuk_J` and `porter_thomas_pdf` are small references that only the
+tests use.  The rejected readings of two printed closed forms,
+`second_moment_printed_power` and `xi_printed`, are kept so that the
+tests can show why the package does not use them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
+
+from sectormagic import Direction, SeedPolicy, kravchuk_int, second_moment_sp2
 
 
 def rising(d: int, k: int) -> int:
@@ -295,6 +302,86 @@ def engine_second_moment(L: int, q: int) -> float:
 def haar_mean_xi2(L: int) -> Fraction:
     """Unconstrained Haar mean of Xi_2 (Clifford orbit counting)."""
     return Fraction(4, 2 ** L + 3)
+
+
+def haar_state(L: int, seed: int) -> np.ndarray:
+    """Haar-random pure state: 2^L i.i.d. complex Gaussians of the stream
+    SeedPolicy(seed).stream("adhoc", 0), normalized."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    psi = SeedPolicy(int(seed)).stream("adhoc", 0).complex_normals(2 ** L)
+    psi /= np.linalg.norm(psi)
+    return psi
+
+
+def charge_expectation(state: np.ndarray, direction="z") -> float:
+    """<psi| sum_j n . sigma_j |psi> by per-qubit accumulation, O(L 2^L);
+    direction is an axis name, a Direction or a vector."""
+    n = Direction.of(direction)
+    psi = np.asarray(state, dtype=complex)
+    N = psi.size
+    L = N.bit_length() - 1
+    total = 0.0
+    probs = np.abs(psi) ** 2 if n.nz != 0.0 else None
+    xs = np.arange(N, dtype=np.int64) if n.nz != 0.0 else None
+    for j in range(L):
+        if n.nz != 0.0:
+            # <sigma^z_j> = sum_x |c_x|^2 (1 - 2 bit_j(x))
+            bits = (xs >> j) & 1
+            total += n.nz * float(np.sum(probs * (1 - 2 * bits)))
+        if n.nx != 0.0 or n.ny != 0.0:
+            v = psi.reshape(-1, 2, 2 ** j)
+            a = complex(np.sum(np.conjugate(v[:, 0, :]) * v[:, 1, :]))
+            # <sigma^x_j> = 2 Re a, <sigma^y_j> = 2 Im a
+            total += 2.0 * (n.nx * a.real + n.ny * a.imag)
+    return total
+
+
+def kravchuk_J(a: int, b: int, q: int) -> complex:
+    """The Fourier coefficient (-i)^b K_q(a,b) / 2^(a+b) from the package's
+    integer kernel, exact in double precision while |K| < 2^53."""
+    phase = (1, -1j, -1, 1j)[b % 4]  # (-i)^b
+    return phase * (kravchuk_int(a, b, q) / 2 ** (a + b))
+
+
+def porter_thomas_pdf(w, d: int):
+    """Density of the rescaled sector weight w = d |c_x|^2, on [0, d]:
+    ((d-1)/d) (1 - w/d)^{d-2}.  Degenerate (point mass at 1) for d = 1."""
+    w = np.asarray(w, dtype=float)
+    if d < 2:
+        return np.zeros_like(w)
+    out = np.where(
+        (w >= 0) & (w <= d), (d - 1) / d * (1.0 - w / d) ** (d - 2), 0.0
+    )
+    return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# rejected readings of printed closed forms
+
+def second_moment_printed_power(L: int, q: int) -> Fraction:
+    """E[Xi_2^2] with the 960-class prefactor read as 960 2^{5L} + 5920
+    instead of 960 d_q + 5920: the package's second moment plus the
+    difference of the two readings times the K2 sum."""
+    d = sector_dim(L, q)
+    k2 = sum(comb(L, 2 * m) * comb(2 * m, m) ** 2
+             * comb(L - 2 * m, (L - 2 * m - q) // 2) ** 2
+             for m in range(L // 2 + 1)
+             if (L - 2 * m - q) % 2 == 0 and abs(q) <= L - 2 * m)
+    return second_moment_sp2(L, q) + Fraction(
+        960 * (2 ** (5 * L) - d) * k2, factorial(8) * comb(d + 7, 8))
+
+
+def xi_printed(s: float) -> float:
+    """The printed fluctuation factor
+    [(3+R)^5 / (4 (1-s^2)^4 (1+8s^2+3R))]^{1/2}, R = sqrt(1+8s^2)."""
+    r = math.sqrt(1 + 8 * s * s)
+    return math.sqrt((3 + r) ** 5 / (4 * (1 - s * s) ** 4 * (1 + 8 * s * s + 3 * r)))
+
+
+def g_printed(s: float) -> float:
+    """The offset -log2(8 (1-s^2)^2 xi) with the printed xi."""
+    return -math.log2(8 * (1 - s * s) ** 2 * xi_printed(s))
 
 
 def charge_operator_dense(L: int, nx: float, ny: float, nz: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sectormagic.asymptotics import XI_PRINTED, asymptotic_prediction
+from sectormagic.asymptotics import asymptotic_prediction
 from sectormagic.hamiltonians import build_csyk, extract_sector_block
 from sectormagic.harness import (
     run_asymptotic_collapse,
@@ -42,10 +42,10 @@ from sectormagic.moments import (
     mean_sp2_tilted,
     variance_sp2,
 )
-from sectormagic.sampler import haar_state
 from sectormagic.sectors import Direction
 
-from oracles import dense_csyk, engine_mean, xi_alpha_reference
+from oracles import (dense_csyk, engine_mean, g_printed, haar_state,
+                     xi_alpha_reference)
 
 EPS_GRID = (0.01, 0.02, 0.05)
 
@@ -173,9 +173,8 @@ def test_subleading_constant_resolved(capsys):
         assert pred.m == 1.0 and pred.g == -3.0
         g_limit = m2_mean_bound(64, 0) - 64 * pred.m
         assert abs(g_limit - pred.g) < 0.05, f"limit {g_limit:.5f}"
-        # the alternate Hessian normalization lands near -6 and is excluded
-        alt = asymptotic_prediction(0.0, xi_variant=XI_PRINTED)
-        assert abs(alt.g - g_limit) > 2.5
+        # the printed fluctuation factor lands near -6 and is excluded
+        assert abs(g_printed(0.0) - g_limit) > 2.5
     _report(capsys, "AC-6 subleading constant", 60.0, body)
 
 

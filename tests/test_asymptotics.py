@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sectormagic import (
     asymptotic_prediction,
     m2_mean_bound,
     nearest_sector_charge,
 )
 from sectormagic.asymptotics import (
-    XI_HESSIAN,
-    XI_PRINTED,
     binary_entropy,
     saddle_exponent,
     xi_factor,
@@ -28,14 +27,11 @@ def test_zero_density_closed_values():
 
 
 def test_printed_fluctuation_variant_disagrees_at_zero():
-    """The alternative fluctuation factor gives xi(0) = 8, hence offset -6;
-    the exact finite-size mean converges to -3, so it is not the default."""
-    assert xi_factor(0.0, XI_PRINTED) == pytest.approx(8.0, abs=1e-12)
-    p = asymptotic_prediction(0.0, xi_variant=XI_PRINTED)
-    assert p.g == pytest.approx(-6.0, abs=1e-12)
-    assert p.m == pytest.approx(1.0, abs=1e-14)  # volume term unaffected
-    with pytest.raises(ValueError):
-        xi_factor(0.1, "bogus")
+    """The printed fluctuation factor gives xi(0) = 8, hence offset -6;
+    the exact finite-size mean converges to -3, so the package does not
+    use it."""
+    assert oracles.xi_printed(0.0) == pytest.approx(8.0, abs=1e-12)
+    assert oracles.g_printed(0.0) == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_density_domain_checks():

@@ -3,10 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sectormagic import mean_sp2
+from sectormagic import mean_sp2, second_moment_sp2
 from sectormagic.harness import (
     CSV_HEADER,
     ConfigError,
@@ -37,7 +35,9 @@ from sectormagic.harness.cli import main, resolve
 def test_summary_stats_against_numpy():
     rng = np.random.default_rng(1)
     xs = rng.normal(size=500)
-    st_ = SummaryStats.from_values(xs)
+    st_ = SummaryStats()
+    for x in xs:
+        st_.update(x)
     assert st_.count == 500
     assert st_.mean == pytest.approx(xs.mean(), abs=1e-12)
     assert st_.variance == pytest.approx(xs.var(ddof=1), rel=1e-12)
@@ -54,23 +54,6 @@ def test_summary_stats_degenerate_counts():
     s.update(2.5)
     assert s.mean == 2.5 and math.isnan(s.variance)
     assert s.to_dict()["mean"] == 2.5 and s.to_dict()["variance"] is None
-
-
-@given(
-    st.lists(st.floats(min_value=-50, max_value=50), min_size=0, max_size=60),
-    st.lists(st.floats(min_value=-50, max_value=50), min_size=0, max_size=60),
-)
-@settings(max_examples=80, deadline=None)
-def test_summary_stats_merge_equals_sequential(a, b):
-    merged = SummaryStats.from_values(a).merge(SummaryStats.from_values(b))
-    direct = SummaryStats.from_values(a + b)
-    assert merged.count == direct.count
-    if direct.count:
-        assert merged.mean == pytest.approx(direct.mean, abs=1e-9)
-        assert merged.min == direct.min and merged.max == direct.max
-    if direct.count >= 2:
-        assert merged.variance == pytest.approx(direct.variance,
-                                                rel=1e-8, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +99,9 @@ def test_csv_and_jsonl_files(tmp_path):
 
 def test_write_summary_handles_numpy(tmp_path):
     path = tmp_path / "s.json"
-    write_summary(
-        {"a": np.float64(1.5), "b": np.arange(3), "stats": SummaryStats.from_values([1.0, 2.0])},
-        path,
-    )
+    stats = SummaryStats().update(1.0).update(2.0)
+    write_summary({"a": np.float64(1.5), "b": np.arange(3), "stats": stats},
+                  path)
     data = json.loads(path.read_text())
     assert data["a"] == 1.5 and data["b"] == [0, 1, 2]
     assert data["stats"]["count"] == 2 and data["stats"]["mean"] == 1.5
@@ -173,9 +155,8 @@ def test_config_override():
 #: them before the experiment table existed
 DEFAULTS = {
     "analytic mean": {"L": 4, "q": 0},
-    "analytic variance": {"L": 4, "q": 0,
-                          "k2_coefficient": "sector-dimension"},
-    "analytic asymptotic": {"s": 0.5, "xi_variant": "hessian"},
+    "analytic variance": {"L": 4, "q": 0},
+    "analytic asymptotic": {"s": 0.5},
     "analytic tilted": {"L": 4, "q": 0, "theta": 0.3, "phi": 0.0},
     "sample": {"L": 8, "q": [0], "samples": 1000, "frame": "z",
                "histogram_bins": 200, "allow_large": False},
@@ -191,8 +172,7 @@ DEFAULTS = {
     "mixed": {"L": 8, "q": 0, "theta": [0.3], "phi": 0.0, "samples": 1000,
               "allow_large": False},
     "collapse": {"L_values": [6, 8, 10], "s_values": [0.0, 0.25, 0.5],
-                 "xi_variant": "hessian", "seed": 0, "out": None,
-                 "format": "csv"},
+                 "seed": 0, "out": None, "format": "csv"},
     "self-averaging": {"L_values": [6, 8, 10], "realizations": 50,
                        "fraction": 0.1},
     "pe-check": {"L": 8, "q": 0, "samples": 1000, "allow_large": False},
@@ -217,13 +197,15 @@ def test_effective_defaults_pinned(command):
 
 def test_resolve_threads(monkeypatch):
     assert resolve_threads(5) == 5
-    assert resolve_threads(0) == 1
+    with pytest.raises(ConfigError):
+        resolve_threads(0)
     monkeypatch.setenv("SECTORMAGIC_THREADS", "7")
     assert resolve_threads() == 7
     assert resolve_threads(2) == 2  # explicit flag wins
-    monkeypatch.setenv("SECTORMAGIC_THREADS", "x")
-    with pytest.raises(ConfigError):
-        resolve_threads()
+    for env in ("x", "0"):
+        monkeypatch.setenv("SECTORMAGIC_THREADS", env)
+        with pytest.raises(ConfigError):
+            resolve_threads()
     monkeypatch.delenv("SECTORMAGIC_THREADS")
     assert resolve_threads() >= 1
 
@@ -351,18 +333,29 @@ def test_cli_analytic_mean(capsys):
     assert data["m2_mean_bound"] == pytest.approx(math.log2(5) - 2)
 
 
+def test_cli_analytic_mean_skips_second_moment(capsys):
+    second_moment_sp2.cache_clear()
+    code, _, _ = run_cli(capsys, ["analytic", "mean", "--L", "6", "--q", "2"])
+    assert code == 0
+    assert second_moment_sp2.cache_info().currsize == 0
+
+
 def test_cli_analytic_variance_coefficient_choice(capsys):
+    """One reading of the K2 prefactor, recorded in the payload; the flags
+    that used to pick a formula are refused."""
     code, out, _ = run_cli(
         capsys, ["analytic", "variance", "--L", "3", "--q", "1"])
     assert code == 0
-    default = json.loads(out)
-    assert default["second_moment_xi2"] == "13/35"
-    code, out, _ = run_cli(
-        capsys, ["analytic", "variance", "--L", "3", "--q", "1",
-                 "--k2-coefficient", "printed-power"])
-    assert code == 0
-    printed = json.loads(out)
-    assert printed["second_moment_xi2"] != default["second_moment_xi2"]
+    data = json.loads(out)
+    assert data["second_moment_xi2"] == "13/35"
+    assert data["k2_coefficient"] == "sector-dimension"
+    for argv in (["analytic", "variance", "--L", "3", "--q", "1",
+                  "--k2-coefficient", "printed-power"],
+                 ["analytic", "asymptotic", "--s", "0",
+                  "--xi-variant", "printed"],
+                 ["collapse", "--L", "16", "--xi-variant", "printed"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 2 and out == ""
 
 
 def test_cli_analytic_asymptotic_and_tilted(capsys):
@@ -370,6 +363,7 @@ def test_cli_analytic_asymptotic_and_tilted(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["m"] == pytest.approx(1.0) and data["g"] == pytest.approx(-3.0)
+    assert data["xi_variant"] == "hessian"
     code, out, _ = run_cli(
         capsys, ["analytic", "tilted", "--L", "4", "--q", "0",
                  "--theta", "0", "--phi", "0"])
@@ -515,6 +509,13 @@ def test_clean_model_is_built_once_per_chunk(monkeypatch):
             assert len({tuple(v) for v in per_realization.values()}) == 1
 
 
+def test_cli_worker_count_below_one_refused(capsys, monkeypatch):
+    _refused(capsys, ["pe-check", "--L", "2", "--samples", "2",
+                      "--threads", "0"])
+    monkeypatch.setenv("SECTORMAGIC_THREADS", "0")
+    _refused(capsys, ["pe-check", "--L", "2", "--samples", "2"])
+
+
 def test_cli_window_and_fraction_together_refused(capsys):
     """Both band selectors at once is ambiguous: exit 2, not a silently
     dropped --fraction."""
@@ -537,15 +538,16 @@ def test_cli_window_and_fraction_together_refused(capsys):
      ["run"]),
     ("experiment = mfim\nL = 2\nq = 2\n", ["run"]),
     ("experiment = collapse\nL_values = 16\n", ["run", "--threads", "1"]),
-    # values outside a key's choices
+    ("L_values = 16\nxi_variant = printed\n", ["collapse"]),
+    # values outside a key's choices or range
     ("L = 2\nsamples = 2\nframe = w\n", ["sample"]),
-    ("L_values = 16\nxi_variant = bogus\n", ["collapse"]),
+    ("L = 2\nsamples = 2\nthreads = 0\n", ["sample"]),
     # the file is for another experiment
     ("experiment = csyk\nL = 2\nsamples = 2\n", ["sample"]),
     # analytic payloads read no config file
     ("L = 2\nq = 0\n", ["analytic", "mean", "--L", "2", "--q", "0"]),
 ], ids=["pe-check-q", "mixed-q", "sample-window", "sample-realizations",
-        "mfim-q", "collapse-threads", "frame", "xi-variant",
+        "mfim-q", "collapse-threads", "xi-variant", "frame", "threads-zero",
         "wrong-experiment", "analytic-config"])
 def test_cli_config_keys_checked(tmp_path, capsys, text, argv):
     cfg = tmp_path / "exp.cfg"

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from sectormagic import (
     constrained_haar_state,
-    haar_state,
     participation_entropy,
     pauli_spectrum,
     shannon_pe,
@@ -16,6 +15,8 @@ from sectormagic import (
 )
 from sectormagic.magic import fwht_last_axis
 from sectormagic.sectors import popcount
+
+from oracles import haar_state
 
 
 def t_state(L):

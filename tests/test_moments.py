@@ -17,12 +17,11 @@ from sectormagic import (
     pe_moment_mean,
     pe_shannon_mean,
     porter_thomas_cdf,
-    porter_thomas_pdf,
     second_moment_sp2,
     sector_dimension,
     variance_sp2,
 )
-from sectormagic.moments import K2_PRINTED, LIPSCHITZ_ETA
+from sectormagic.moments import LIPSCHITZ_ETA
 
 
 def charges(L):
@@ -73,11 +72,9 @@ def test_one_dimensional_sector_is_deterministic():
 
 def test_printed_power_coefficient_breaks_determinism():
     """The alternative 2^{5L} reading of the 960-class prefactor fails the
-    one-dimensional-sector identity, pinning the default."""
-    assert second_moment_sp2(3, 3, k2_coefficient=K2_PRINTED) != 1
-    assert second_moment_sp2(4, 0, k2_coefficient=K2_PRINTED) != second_moment_sp2(4, 0)
-    with pytest.raises(ValueError):
-        second_moment_sp2(2, 0, k2_coefficient="bogus")
+    one-dimensional-sector identity, pinning the package's d_q reading."""
+    assert oracles.second_moment_printed_power(3, 3) != 1
+    assert oracles.second_moment_printed_power(4, 0) != second_moment_sp2(4, 0)
 
 
 def test_charge_symmetry():
@@ -118,7 +115,6 @@ def test_analytic_moments_bundle():
     b = analytic_moments(4, 2)
     assert b.mean == mean_sp2(4, 2)
     assert b.variance == b.second_moment - b.mean ** 2
-    assert b.m2_mean_bound == pytest.approx(m2_mean_bound(4, 2), abs=1e-14)
 
 
 def test_mean_bound_is_exact_log_at_large_L():
@@ -169,19 +165,20 @@ def test_pe_shannon_mean():
 def test_porter_thomas_density_properties():
     for d in (2, 3, 10, 50):
         w = np.linspace(0.0, d, 20001)
-        pdf = porter_thomas_pdf(w, d)
+        pdf = oracles.porter_thomas_pdf(w, d)
         assert abs(np.trapezoid(pdf, w) - 1.0) < 1e-4
         cdf = porter_thomas_cdf(w, d)
         assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(cdf) >= -1e-15)
         mid = 0.5 * (w[1:] + w[:-1])
         deriv = np.diff(cdf) / np.diff(w)
-        np.testing.assert_allclose(deriv, porter_thomas_pdf(mid, d), atol=5e-3)
+        np.testing.assert_allclose(deriv, oracles.porter_thomas_pdf(mid, d),
+                                   atol=5e-3)
     # d = 2 is uniform on [0, 2]
-    assert porter_thomas_pdf(0.3, 2) == pytest.approx(0.5)
-    assert porter_thomas_pdf(1.9, 2) == pytest.approx(0.5)
-    assert porter_thomas_pdf(0.5, 1) == 0.0
-    assert porter_thomas_pdf(2.5, 2) == 0.0
+    assert oracles.porter_thomas_pdf(0.3, 2) == pytest.approx(0.5)
+    assert oracles.porter_thomas_pdf(1.9, 2) == pytest.approx(0.5)
+    assert oracles.porter_thomas_pdf(0.5, 1) == 0.0
+    assert oracles.porter_thomas_pdf(2.5, 2) == 0.0
 
 
 # ---------------------------------------------------------------------------
