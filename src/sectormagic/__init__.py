@@ -16,6 +16,7 @@ harness       experiments, streaming statistics, persistence, CLI
 from .sectors import (
     Direction,
     SectorBasisMap,
+    SectorError,
     apply_frame_rotation,
     enumerate_sector,
     sector_dimension,
@@ -23,7 +24,6 @@ from .sectors import (
 from .kravchuk import binomial, h_sum, kravchuk_int
 from .moments import (
     AnalyticMoments,
-    SectorError,
     analytic_moments,
     haar_mean_sp2,
     levy_tail_bound,

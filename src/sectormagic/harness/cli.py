@@ -299,6 +299,8 @@ def _read(key: Key, raws: list):
     """A key's value from its raw flag or file strings."""
     if key.many:
         raws = [tok for raw in raws for tok in raw.split(",") if tok.strip()]
+        if not raws:
+            raise ConfigError(f"{key.name} needs at least one value")
     elif len(raws) > 1:
         raise ConfigError(f"{key.name} takes one value, got {len(raws)}")
     try:

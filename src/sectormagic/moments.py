@@ -8,11 +8,19 @@ arithmetic (no log-domain fallback, even at L = 256);
 
 The second moment sums thirteen grouped permutation classes; the 960-class
 prefactor multiplies the sector dimension d_q.  Four classes reduce to the
-kernels K1..K4 below, K1 and K4 being sums of products of
-:func:`sectormagic.kravchuk.kravchuk_int` values.  K1's (-i)^b phases are
-tracked exactly as Gaussian integers and its imaginary part is asserted to
-cancel.  The rejected 2^{5L} reading of the 960-class prefactor lives in
-``tests/oracles.py``.
+kernels K1..K4 below: K2 and K3 are binomial sums, K1 and K4 sums of
+products of the integer kernels K_q(a, b) of :mod:`sectormagic.kravchuk`.
+Both of the latter are sums of plain integers:
+
+- K1 reads only the row R[t] = K_q(L-t, t), since every factor has
+  a + b = L; the factors' (-i)^b phases multiply to (-1)^{k-j} and cancel
+  the sum's own sign (-1)^{k-j}.
+- K4's weight C(L,k) C(k,j) C(L-k,p) is a multinomial, so collecting the
+  terms at fixed n = a + b leaves sum_n C(L,n) h(n,q) h(L-n,0).
+
+The index-for-index transcriptions of K1 (its (-i)^b phases tracked
+exactly) and K4, and the rejected 2^{5L} reading of the 960-class
+prefactor, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .kravchuk import binomial, h_sum, kravchuk_int
-from .sectors import Direction, sector_dimension
+from .sectors import Direction, SectorError, sector_dimension
 
 __all__ = [
     "SectorError",
@@ -51,10 +59,6 @@ __all__ = [
 #: Lipschitz constant of the 2-stabilizer-purity as a function of the state,
 #: entering the concentration-of-measure bounds.
 LIPSCHITZ_ETA = 5.4
-
-
-class SectorError(ValueError):
-    """Requested charge sector is empty."""
 
 
 def _check_sector(L: int, q: int) -> int:
@@ -91,64 +95,42 @@ def m2_mean_bound(L: int, q: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# second moment: the K1 (Gaussian-integer) and K4 kernels
-
-_PHASE = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^t as (re, im)
+# second moment: the K1..K4 kernels
 
 
-def _gaussian_add(acc, coeff: int, phase_pow: int):
-    re, im = _PHASE[phase_pow % 4]
-    acc[0] += coeff * re
-    acc[1] += coeff * im
-
-
-@lru_cache(maxsize=None)
 def _k1_numerator(L: int, q: int) -> int:
-    """2^{7L} K1(L,q): the triple nested sum transcribed index-for-index,
-    with every factor's (-i)^b phase tracked exactly."""
-    acc = [0, 0]
-    for k in range(L + 1):
-        outer = kravchuk_int(L - k, k, q) ** 3
-        if outer == 0:
-            continue
-        ck = math.comb(L, k) * outer
-        for j in range(k + 1):
-            sgn = (-1) ** (k - j) * math.comb(k, j)
-            for p in range(L - k + 1):
-                single = kravchuk_int(k - j + p, L - k - p + j, q)
-                if single == 0:
-                    continue
-                cubed = kravchuk_int(j + p, L - p - j, q) ** 3
-                if cubed == 0:
-                    continue
-                coeff = ck * sgn * math.comb(L - k, p) * single * cubed
-                b_total = 3 * k + (L - k - p + j) + 3 * (L - p - j)
-                _gaussian_add(acc, coeff, b_total)
-    if acc[1] != 0:
-        raise ArithmeticError(f"K1 imaginary part nonzero at L={L}, q={q}")
-    return acc[0]
+    """2^{7L} K1(L,q) = sum_{k,j,p} C(L,k) C(k,j) C(L-k,p)
+    R[k]^3 R[L-k-p+j] R[L-p-j]^3, with R[t] = K_q(L-t, t).
 
-
-@lru_cache(maxsize=None)
-def _k4_numerator(L: int, q: int) -> int:
-    """2^{4L} K4(L,q).  The second fourth-power factor carries frequency 0
-    (it arises from the difference pair), the first the full charge q.
-    K4 is real by construction: every term carries the phase
-    (-i)^{4(L-k)} = 1, so the terms are summed as plain integers."""
+    Every factor of the sum has a + b = L, so the row R is all it reads.
+    The factors' (-i)^b phases multiply to (-i)^{4L+2(k-j)-4p} = (-1)^{k-j},
+    which cancels the sum's own sign (-1)^{k-j}: the terms are integers.
+    """
+    row = [kravchuk_int(L - t, t, q) for t in range(L + 1)]
+    cubes = [r ** 3 for r in row]
     total = 0
     for k in range(L + 1):
-        cl = math.comb(L, k)
-        for j in range(k + 1):
-            ckj = cl * math.comb(k, j)
-            for p in range(L - k + 1):
-                f1 = kravchuk_int(k - j, L - k - p, q)
-                if f1 == 0:
-                    continue
-                f2 = kravchuk_int(j, p, 0)
-                if f2 == 0:
-                    continue
-                total += ckj * math.comb(L - k, p) * f1 ** 4 * f2 ** 4
+        if cubes[k] == 0:
+            continue
+        m = L - k
+        cm = [math.comb(m, p) for p in range(m + 1)]
+        inner = sum(
+            math.comb(k, j) * sum(c * row[m - p + j] * cubes[L - p - j]
+                                  for p, c in enumerate(cm))
+            for j in range(k + 1))
+        total += math.comb(L, k) * cubes[k] * inner
     return total
+
+
+def _k4_numerator(L: int, q: int) -> int:
+    """2^{4L} K4(L,q) = sum_n C(L,n) h(n,q) h(L-n,0).
+
+    The transcribed sum weighs K_q(a,b)^4 K_0(j,p)^4 (a = k-j, b = L-k-p)
+    by C(L,k) C(k,j) C(L-k,p) = L!/(a! b! j! p!) = C(L,n) C(n,a) C(L-n,j)
+    at n = a + b; summing a and j at fixed n gives the two h sums.
+    """
+    return sum(math.comb(L, n) * h_sum(n, q) * h_sum(L - n, 0)
+               for n in range(L + 1))
 
 
 def _k_central(L: int, q: int, power: int) -> int:

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .sectors import SectorBasisMap, apply_frame_rotation, enumerate_sector
+from .sectors import (SectorBasisMap, SectorError, apply_frame_rotation,
+                      enumerate_sector)
 
 __all__ = [
     "SeedPolicy",
@@ -76,8 +77,6 @@ def _as_stream(seed) -> GaussianStream:
 def _sector_or_raise(L: int, q: int) -> SectorBasisMap:
     basis = enumerate_sector(L, q)
     if basis.dimension == 0:
-        from .moments import SectorError
-
         raise SectorError(f"empty sector: L={L}, q={q}")
     return basis
 

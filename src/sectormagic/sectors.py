@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "SectorError",
     "popcount",
     "sector_dimension",
     "SectorBasisMap",
@@ -28,6 +29,10 @@ __all__ = [
     "frame_rotation_matrix",
     "apply_frame_rotation",
 ]
+
+
+class SectorError(ValueError):
+    """Requested charge sector is empty."""
 
 
 def popcount(x):

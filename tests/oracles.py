@@ -3,10 +3,10 @@
 Everything here is deliberately written from first principles with different
 algorithms than the package (permutation sums over the symmetric group,
 dense Kronecker Pauli matrices and frame rotations, direct trigonometric
-quadrature) so that agreement is meaningful.  The exceptions are removed
-fast paths kept to pin bytes: `pauli_spectrum_all_masks` and
-`csyk_index_maps_loop` are the code the package replaced, and its
-output must equal theirs exactly.  `haar_state`, `charge_expectation`,
+quadrature) so that agreement is meaningful.  The exceptions are code the
+package replaced, kept to pin its output: `pauli_spectrum_all_masks`,
+`csyk_index_maps_loop`, `k1_numerator_transcribed` and
+`k4_numerator_transcribed`, whose output the package must equal exactly.  `haar_state`, `charge_expectation`,
 `kravchuk_J` and `porter_thomas_pdf` are small references that only the
 tests use.  The rejected readings of two printed closed forms,
 `second_moment_printed_power` and `xi_printed`, are kept so that the
@@ -370,6 +370,41 @@ def second_moment_printed_power(L: int, q: int) -> Fraction:
              if (L - 2 * m - q) % 2 == 0 and abs(q) <= L - 2 * m)
     return second_moment_sp2(L, q) + Fraction(
         960 * (2 ** (5 * L) - d) * k2, factorial(8) * comb(d + 7, 8))
+
+
+# ---------------------------------------------------------------------------
+# index-for-index transcriptions of the K1 and K4 second-moment kernels
+
+_PHASE = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^t as (re, im)
+
+
+def k1_numerator_transcribed(L: int, q: int) -> tuple[int, int]:
+    """2^{7L} K1(L,q) as (real, imaginary) parts: the triple nested sum with
+    every factor's (-i)^b phase tracked exactly as a Gaussian integer."""
+    acc = [0, 0]
+    for k in range(L + 1):
+        ck = comb(L, k) * kravchuk_int(L - k, k, q) ** 3
+        for j in range(k + 1):
+            sgn = (-1) ** (k - j) * comb(k, j)
+            for p in range(L - k + 1):
+                coeff = (ck * sgn * comb(L - k, p)
+                         * kravchuk_int(k - j + p, L - k - p + j, q)
+                         * kravchuk_int(j + p, L - p - j, q) ** 3)
+                b_total = 3 * k + (L - k - p + j) + 3 * (L - p - j)
+                re, im = _PHASE[b_total % 4]
+                acc[0] += coeff * re
+                acc[1] += coeff * im
+    return acc[0], acc[1]
+
+
+def k4_numerator_transcribed(L: int, q: int) -> int:
+    """2^{4L} K4(L,q) as the triple sum over k, j, p; the second
+    fourth-power factor carries frequency 0, the first the charge q."""
+    return sum(comb(L, k) * comb(k, j) * comb(L - k, p)
+               * kravchuk_int(k - j, L - k - p, q) ** 4
+               * kravchuk_int(j, p, 0) ** 4
+               for k in range(L + 1) for j in range(k + 1)
+               for p in range(L - k + 1))
 
 
 def xi_printed(s: float) -> float:

@@ -546,9 +546,15 @@ def test_cli_window_and_fraction_together_refused(capsys):
     ("experiment = csyk\nL = 2\nsamples = 2\n", ["sample"]),
     # analytic payloads read no config file
     ("L = 2\nq = 0\n", ["analytic", "mean", "--L", "2", "--q", "0"]),
+    # a list key that yields no value
+    ("L = 2\nq =\nsamples = 2\n", ["sample"]),
+    ("experiment = mixed\nL = 2\ntheta = ,\nsamples = 2\n", ["run"]),
+    ("experiment = collapse\nL_values = 16\ns_values = ,\n", ["run"]),
+    ("L_values = ,\n", ["self-averaging", "--threads", "1"]),
 ], ids=["pe-check-q", "mixed-q", "sample-window", "sample-realizations",
         "mfim-q", "collapse-threads", "xi-variant", "frame", "threads-zero",
-        "wrong-experiment", "analytic-config"])
+        "wrong-experiment", "analytic-config", "empty-q", "empty-theta",
+        "empty-s", "empty-L"])
 def test_cli_config_keys_checked(tmp_path, capsys, text, argv):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
@@ -578,6 +584,7 @@ def test_cli_degenerate_analytic_request_refused(capsys, argv):
     ["xxz", "--L", "4", "--J2", "inf"],
     ["mfim", "--L", "2", "--fraction", "nan"],
     ["self-averaging", "--L", "4", "--fraction", "nan"],
+    ["self-averaging", "--L", ","],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_cli_bad_flag_values_refused_up_front(capsys, argv):
     _refused(capsys, argv + ["--seed", "0", "--threads", "1"])

@@ -70,6 +70,11 @@ def test_h_sum_frozen_values():
     for L in range(1, 9):
         assert h_sum(L, L) == 2 ** L
         assert h_sum(L, L - 1) == 0  # parity
+    # boundary terms of K4 = sum_n C(L,n) h(n,q) h(L-n,0)
+    assert h_sum(0, 0) == 1
+    for q in range(-6, 7):
+        for n in range(abs(q)):
+            assert h_sum(n, q) == 0
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=-10, max_value=10))

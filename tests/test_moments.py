@@ -21,7 +21,7 @@ from sectormagic import (
     sector_dimension,
     variance_sp2,
 )
-from sectormagic.moments import LIPSCHITZ_ETA
+from sectormagic.moments import LIPSCHITZ_ETA, _k1_numerator, _k4_numerator
 
 
 def charges(L):
@@ -50,6 +50,18 @@ def test_second_moment_matches_s8_engine():
 
 # ---------------------------------------------------------------------------
 # frozen exact rationals and structural identities
+
+
+def test_kernels_equal_their_transcriptions():
+    """K1 and K4 as plain-integer sums (one Kravchuk row, one sum of h)
+    equal the index-for-index triple sums; the transcribed K1's imaginary
+    part is exactly zero."""
+    for L in range(1, 21):
+        for q in charges(L):
+            re, im = oracles.k1_numerator_transcribed(L, q)
+            assert im == 0
+            assert _k1_numerator(L, q) == re
+            assert _k4_numerator(L, q) == oracles.k4_numerator_transcribed(L, q)
 
 
 def test_frozen_rationals():
