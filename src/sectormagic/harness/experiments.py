@@ -179,13 +179,14 @@ def _haar_chunk(args):
             summ = pauli_spectrum(state, (2.0,),
                                   histogram_bins=hist_bins or None)
             value["xi2"] = summ.purity(2.0)
-            value["m2"] = -math.log2(value["xi2"])
+            # 0.0 - x, not -x: a zero entropy is written as 0, not -0
+            value["m2"] = 0.0 - math.log2(value["xi2"])
             if hist is not None:
                 hist += summ.histogram[0]
         if weights:
             p = np.abs(state) ** 2
             value["ipr2"] = float(p @ p)
-            value["s2"] = -math.log2(value["ipr2"])
+            value["s2"] = 0.0 - math.log2(value["ipr2"])
             if "probe" in observables:
                 value["probe"] = d * float(p[probe])
         if "shannon_pe" in observables:
@@ -238,7 +239,7 @@ def _disorder_chunk(args):
             for n, k in enumerate(keep):
                 psi = embed_eigenvector(es.vectors[:, k], basis)
                 xi2 = pauli_spectrum(psi, (2.0,)).purity(2.0)
-                m2s[n] = -math.log2(xi2)
+                m2s[n] = 0.0 - math.log2(xi2)
             row.append({
                 "q": q,
                 "dim": es.dimension,

@@ -1,7 +1,8 @@
 """Pauli-spectrum functionals of dense pure states: stabilizer purity and
 entropy (Walsh-Hadamard kernel) and participation entropies.
 
-The kernel uses the identity
+The kernel uses the identity (Leone, Oliviero & Hamma, "Stabilizer Renyi
+entropy", PRL 2022)
 
     Xi_alpha = 2^{-L} sum_{a,b} |g_a(b)|^{2 alpha},
     g_a(b)   = sum_x (-1)^{b.x} conj(c_{x XOR a}) c_x,
@@ -10,6 +11,15 @@ i.e. for each X-mask a the vector f_a(x) = conj(c_{x XOR a}) c_x is
 Walsh-Hadamard transformed over b.  Masks are processed in fixed-order
 batches (deterministic accumulation) in O(L 4^L) total time; the i^{a.b}
 phase of the Hermitian Pauli string is dropped since only moduli enter.
+
+Layout.  A batch is gathered transposed, one column per X-mask, as a
+(2^L, masks) array, and the butterfly runs along its leading axis, so every
+level's inner loop spans h times the batch width instead of h elements.
+|g|^2 is then put back into the row-major (masks, 2^L) array, one row per
+mask, before the per-batch sums and the histogram.  Each element goes
+through the same floating-point operations in the same order as in the
+row-major last-axis transform, and the sums see the same array, so the
+output is bitwise that of the row-major loop.
 
 Parity shortcut.  If every nonzero amplitude c_x has the same popcount
 parity (every z-frame sector state, every embedded sector eigenstate),
@@ -54,21 +64,22 @@ def _check_normalized(state: np.ndarray):
         raise ValueError(f"state not normalized: |psi|^2 = {nrm}")
 
 
-def fwht_last_axis(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis, in place,
+def fwht_leading_axis(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the first axis, in place,
     with no temporary allocations (three in-place ufunc passes per level).
+    At level h each pass runs over h times the size of the trailing axes.
 
     The input must be C-contiguous: reshaping any other layout copies, and
     the transform would land in the copy.
     """
     if not a.flags.c_contiguous:
-        raise ValueError("fwht_last_axis needs a C-contiguous array")
-    n = a.shape[-1]
+        raise ValueError("fwht_leading_axis needs a C-contiguous array")
+    n = a.shape[0]
     h = 1
     while h < n:
-        v = a.reshape(-1, n // (2 * h), 2, h)
-        a0 = v[:, :, 0, :]
-        a1 = v[:, :, 1, :]
+        v = a.reshape(n // (2 * h), 2, -1)
+        a0 = v[:, 0]
+        a1 = v[:, 1]
         a0 += a1          # u + v
         a1 *= -2.0        # -2v
         a1 += a0          # u - v
@@ -97,9 +108,12 @@ def pauli_spectrum(
     Pauli strings.
 
     X-masks are transformed in batches of max(1, min(2^L, 2^21 / 2^L)), so
-    the working set is fixed at 2^21 Pauli strings once L >= 11.  A bounded
-    histogram of the |<P>|^2 values over [0, 1] is accumulated when
-    histogram_bins is given; the full 4^L list is never stored.
+    the working set is fixed at 2^21 Pauli strings once L >= 11.  A batch
+    is transformed with one column per mask and summed with one row per
+    mask, in the floating-point order of a row-major transform (see the
+    module docstring).  A bounded histogram of the |<P>|^2 values over
+    [0, 1] is accumulated when histogram_bins is given; the full 4^L list
+    is never stored.
 
     When the exact zeros of the state leave support of one popcount
     parity only, the odd X-mask rows, which are exactly zero, are skipped
@@ -130,30 +144,37 @@ def pauli_spectrum(
     for start in range(0, n, batch):
         masks = idx0[start : start + batch]
         rows = np.flatnonzero(live[masks])
-        gathered = psi[masks[rows, None] ^ idx0[None, :]]
-        np.conjugate(gathered, out=gathered)
-        gathered *= psi[None, :]
-        fwht_last_axis(gathered)
-        p_live = np.abs(gathered)
-        np.multiply(p_live, p_live, out=p_live)  # |<P>|^2
-        if rows.size == masks.size:
-            p = p_live
-        else:
-            # the sums run over the whole batch, zero rows included, so
-            # their floating-point order is that of the all-mask loop
-            p = np.zeros((masks.size, n))
-            p[rows] = p_live
+        # column r holds f_{m_r}(x) = conj(psi[x ^ m_r]) psi[x]
+        g = psi[idx0[:, None] ^ masks[None, rows]]
+        np.conjugate(g, out=g)
+        g *= psi[:, None]
+        # real and imaginary parts take the same additions; the real -2.0
+        # differs from the complex one only in the sign of exact zeros,
+        # which the modulus drops
+        fwht_leading_axis(g.view(np.float64))
+        g2 = np.abs(g)
+        del g  # free the gather before the row-order copy: a lower peak
+        np.multiply(g2, g2, out=g2)  # |<P>|^2
+        # back to row order over the whole batch, skipped rows zero-filled,
+        # so the sums run in the floating-point order of the all-mask loop;
+        # 64 columns at a time keep the transposed reads in cache
+        p = np.zeros((masks.size, n))
+        for x in range(0, n, 64):
+            p[rows, x : x + 64] = g2[x : x + 64].T
+        if hist_counts is not None:
+            # counts do not depend on the element order; clamp the one-ulp
+            # overshoot of the identity string
+            np.minimum(g2, 1.0, out=g2)
+            c, _ = np.histogram(g2, bins=hist_edges)
+            c[0] += (masks.size - rows.size) * n  # the skipped zero rows
+            hist_counts += c
+        del g2
         for a in alphas:
             if a == 2.0:
                 acc[a] += float(np.sum(p * p))
             else:
                 acc[a] += float(np.sum(p ** a))
-        if hist_counts is not None:
-            # clamp the one-ulp overshoot of the identity string
-            np.minimum(p_live, 1.0, out=p_live)
-            c, _ = np.histogram(p_live, bins=hist_edges)
-            c[0] += (masks.size - rows.size) * n  # the skipped zero rows
-            hist_counts += c
+        del p
 
     purities = {a: acc[a] / n for a in alphas}
     histogram = (hist_counts, hist_edges) if hist_counts is not None else None
@@ -170,7 +191,7 @@ def stabilizer_entropy(state: np.ndarray, alpha=2) -> float:
     if alpha == 1:
         raise ValueError("alpha = 1 is the degenerate (Shannon) index")
     xi = stabilizer_purity_fast(state, alpha)
-    return math.log2(xi) / (1 - alpha)
+    return 0.0 - math.log2(xi) / (alpha - 1)  # 0.0 - x: never -0.0
 
 
 def participation_entropy(state: np.ndarray, k=2) -> float:
@@ -182,11 +203,11 @@ def participation_entropy(state: np.ndarray, k=2) -> float:
     p = np.abs(np.asarray(state)) ** 2
     if k == 0:
         return math.log2(int(np.count_nonzero(p > 1e-14)))
-    return math.log2(float(np.sum(p ** k))) / (1 - k)
+    return 0.0 - math.log2(float(np.sum(p ** k))) / (k - 1)
 
 
 def shannon_pe(state: np.ndarray) -> float:
     """Shannon participation entropy -sum p log2 p, bits."""
     p = np.abs(np.asarray(state)) ** 2
     p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))

@@ -4,8 +4,8 @@ Everything here is deliberately written from first principles with different
 algorithms than the package (permutation sums over the symmetric group,
 dense Kronecker Pauli matrices and frame rotations, direct trigonometric
 quadrature) so that agreement is meaningful.  The exceptions are code the
-package replaced, kept to pin its output: `pauli_spectrum_all_masks`,
-`csyk_index_maps_loop`, `k1_numerator_transcribed` and
+package replaced, kept to pin its output: `pauli_spectrum_all_masks`
+with its own last-axis `fwht_last_axis`, `csyk_index_maps_loop`, `k1_numerator_transcribed` and
 `k4_numerator_transcribed`, whose output the package must equal exactly.  `haar_state`, `charge_expectation`,
 `kravchuk_J` and `porter_thomas_pdf` are small references that only the
 tests use.  The rejected readings of two printed closed forms,
@@ -103,12 +103,30 @@ def xi_alpha_reference(state: np.ndarray, alphas=(2,)) -> dict:
     return {alpha: float(np.sum(mods ** (2 * alpha)) / n) for alpha in alphas}
 
 
+def fwht_last_axis(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis of a
+    C-contiguous array, in place: the row-major butterfly the package's
+    leading-axis transform must match element for element."""
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        v = a.reshape(-1, n // (2 * h), 2, h)
+        a0 = v[:, :, 0, :]
+        a1 = v[:, :, 1, :]
+        a0 += a1          # u + v
+        a1 *= -2.0        # -2v
+        a1 += a0          # u - v
+        h *= 2
+    return a
+
+
 def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,),
                              histogram_bins=None):
     """The Walsh-Hadamard kernel transforming every X-mask, zero rows
-    included: the reference that the package's row skipping must match
-    bit for bit (same batches, same per-batch sums, same histogram)."""
-    from sectormagic.magic import PauliSpectrumSummary, fwht_last_axis
+    included, as (masks, n) rows with the last-axis butterfly: the
+    reference that the package's row skipping and leading-axis layout must
+    match bit for bit (same batches, same per-batch sums, same histogram)."""
+    from sectormagic.magic import PauliSpectrumSummary
 
     psi = np.ascontiguousarray(state, dtype=np.complex128)
     n = psi.size

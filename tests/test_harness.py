@@ -607,6 +607,25 @@ def test_cli_one_state_sector_gives_null_statistics(capsys):
     assert data["porter_thomas"] == {"ks_statistic": None, "ks_pvalue": None}
 
 
+def test_cli_zero_entropies_are_not_negative_zero(tmp_path, capsys):
+    """A one-state sector has m2 = s2 = shannon_pe = 0 exactly; the CSV
+    and the summary must not write them as -0."""
+    prefix = str(tmp_path / "one")
+    code, out, _ = run_cli(capsys, ["sample", "--L", "1", "--q", "1",
+                                    "--samples", "2", "--threads", "1",
+                                    "--histogram-bins", "0", "--out", prefix,
+                                    "--format", "csv"])
+    assert code == 0
+    cells = [line.split(",")[6] for line in
+             (tmp_path / "one.csv").read_text().splitlines()[1:]]
+    assert "0" in cells and "-0" not in cells
+    summary = (tmp_path / "one.summary.json").read_text()
+    assert summary == out and "-0.0" not in summary
+    observed = json.loads(summary)["sectors"]["1"]["observed"]
+    for obs in ("m2", "s2", "shannon_pe"):
+        assert math.copysign(1.0, observed[obs]["min"]) == 1.0
+
+
 def test_cli_single_sample_gives_null_statistics(capsys):
     code, out, _ = run_cli(capsys, ["pe-check", "--L", "4", "--samples", "1",
                                     "--threads", "1"])

@@ -13,7 +13,7 @@ from sectormagic import (
     stabilizer_entropy,
     stabilizer_purity_fast,
 )
-from sectormagic.magic import fwht_last_axis
+from sectormagic.magic import fwht_leading_axis
 from sectormagic.sectors import popcount
 
 from oracles import haar_state
@@ -35,29 +35,46 @@ def ghz_state(L):
 
 def test_fwht_matches_hadamard_matrix():
     rng = np.random.default_rng(0)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
     H1 = np.array([[1.0, 1.0], [1.0, -1.0]])
     H = np.kron(np.kron(H1, H1), H1)
-    got = fwht_last_axis(v.copy())
+    got = fwht_leading_axis(v.copy())
     np.testing.assert_allclose(got, H @ v, atol=1e-12)
     # involution up to n
-    np.testing.assert_allclose(fwht_last_axis(got.copy()) / 8.0, v, atol=1e-12)
+    np.testing.assert_allclose(fwht_leading_axis(got.copy()) / 8.0, v,
+                               atol=1e-12)
 
 
 def test_fwht_rejects_non_contiguous_input():
     """A transposed view would be reshaped into a copy: the transform would
     leave the input unchanged, so the kernel refuses it."""
-    x = np.random.default_rng(1).normal(size=(8, 3, 16)) + 0j
-    view = np.transpose(x, (1, 0, 2))
+    x = np.random.default_rng(1).normal(size=(3, 16)) + 0j
+    view = x.T
     before = view.copy()
     with pytest.raises(ValueError, match="C-contiguous"):
-        fwht_last_axis(view)
+        fwht_leading_axis(view)
     np.testing.assert_array_equal(view, before)
     contiguous = np.ascontiguousarray(view)
     H1 = np.array([[1.0, 1.0], [1.0, -1.0]])
     H = np.kron(np.kron(np.kron(H1, H1), H1), H1)
-    np.testing.assert_allclose(fwht_last_axis(contiguous), before @ H.T,
+    np.testing.assert_allclose(fwht_leading_axis(contiguous), H @ before,
                                atol=1e-12)
+
+
+def test_fwht_leading_axis_equals_last_axis_butterfly():
+    """The leading-axis transform of A.T runs the row-major butterfly of A
+    in the same order: equal element for element, not just to rounding,
+    also on the float64 view of the complex array that the kernel
+    transforms."""
+    rng = np.random.default_rng(3)
+    for k in range(1, 11):
+        A = rng.normal(size=(5, 2 ** k)) + 1j * rng.normal(size=(5, 2 ** k))
+        ref = oracles.fwht_last_axis(A.copy())
+        got = fwht_leading_axis(np.ascontiguousarray(A.T))
+        np.testing.assert_array_equal(got, ref.T)
+        got = np.ascontiguousarray(A.T)
+        fwht_leading_axis(got.view(np.float64))
+        np.testing.assert_array_equal(got, ref.T)
 
 
 def test_fast_equals_bruteforce_on_random_states():
@@ -165,22 +182,29 @@ def test_sector_states_have_even_x_mask_support():
 
 def test_row_skipping_is_bitwise_equal_to_all_masks():
     """Parity-definite states skip the odd X-mask rows; purities and
-    histogram counts equal the all-mask loop exactly.  The mixed-parity
-    and x-frame states take the all-mask path."""
+    histogram counts equal the all-mask loop, row-major with its own
+    last-axis butterfly, exactly.  The mixed-parity, x-frame and full Haar
+    states take the all-rows path, the L = 11 one over two batches."""
     cases = [(L, q) for L in range(1, 11) for q in range(-L, L + 1, 2)]
     states = [constrained_haar_state(L, q, seed=L + q)
               for L, q in cases + [(12, 0), (12, 2)]]
     mixed = np.zeros(2 ** 6, dtype=complex)
     mixed[0] = mixed[1] = 1.0 / math.sqrt(2.0)
     xframe = constrained_haar_state(6, 2, frame="x", seed=5)
+    full = haar_state(11, seed=6)
     parity = np.bitwise_count(np.arange(2 ** 6)) % 2
     for psi in (mixed, xframe):
         assert set(parity[psi != 0]) == {0, 1}
-    for psi in states + [mixed, xframe]:
+    assert np.all(full != 0)
+    for psi in states + [mixed, xframe, full]:
         got = pauli_spectrum(psi, (2, 3), histogram_bins=200)
         ref = oracles.pauli_spectrum_all_masks(psi, (2, 3), histogram_bins=200)
         assert got.purities == ref.purities
         np.testing.assert_array_equal(got.histogram[0], ref.histogram[0])
+    psi = constrained_haar_state(8, 2, seed=7)
+    got = pauli_spectrum(psi, (2,))
+    assert got.histogram is None
+    assert got.purities == oracles.pauli_spectrum_all_masks(psi, (2,)).purities
 
 
 def test_input_validation():
@@ -234,6 +258,10 @@ def test_participation_entropies():
     e0[5] = 1.0
     assert participation_entropy(e0, 2) == pytest.approx(0.0, abs=1e-12)
     assert shannon_pe(e0) == pytest.approx(0.0, abs=1e-12)
+    # a zero entropy is +0.0: -log2(1) would print as -0
+    for entropy in (shannon_pe(e0), participation_entropy(e0, 2),
+                    participation_entropy(e0, 0.5), stabilizer_entropy(e0)):
+        assert math.copysign(1.0, entropy) == 1.0
     with pytest.raises(ValueError):
         participation_entropy(flat, -1)
     # Renyi PEs decrease in k
