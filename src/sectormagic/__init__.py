@@ -21,7 +21,7 @@ from .sectors import (
     enumerate_sector,
     sector_dimension,
 )
-from .kravchuk import binomial, h_sum, kravchuk_int
+from .kravchuk import binomial, h_sum, kravchuk_int, kravchuk_row
 from .moments import (
     AnalyticMoments,
     analytic_moments,

@@ -18,6 +18,12 @@ Both of the latter are sums of plain integers:
 - K4's weight C(L,k) C(k,j) C(L-k,p) is a multinomial, so collecting the
   terms at fixed n = a + b leaves sum_n C(L,n) h(n,q) h(L-n,0).
 
+Costs, in big-integer operations: h is one Kravchuk row, O(L); the mean
+is one h; K4 is 2(L+1) h sums, O(L^2); K1 stays an O(L^3) triple sum,
+its innermost sum one C-level dot product per (k, j); K2 and K3 are
+O(L).  The tilted-axis mean is an O(L^2) sum in 60 + 2L-digit
+arithmetic, evaluated once per (L, q, axis) and process.
+
 The index-for-index transcriptions of K1 (its (-i)^b phases tracked
 exactly) and K4, and the rejected 2^{5L} reading of the 960-class
 prefactor, live in ``tests/oracles.py``.
@@ -29,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf
@@ -114,9 +121,10 @@ def _k1_numerator(L: int, q: int) -> int:
             continue
         m = L - k
         cm = [math.comb(m, p) for p in range(m + 1)]
+        # p -> m - p (C(m, p) is symmetric) turns both factors into slices
         inner = sum(
-            math.comb(k, j) * sum(c * row[m - p + j] * cubes[L - p - j]
-                                  for p, c in enumerate(cm))
+            math.comb(k, j) * sum(map(mul, cm, map(
+                mul, row[j:j + m + 1], cubes[k - j:L - j + 1])))
             for j in range(k + 1))
         total += math.comb(L, k) * cubes[k] * inner
     return total
@@ -209,6 +217,12 @@ def tilt_factors(direction) -> tuple[float, float, float]:
 
 
 def _tilted_mean_mp(L: int, q: int, direction) -> mpf:
+    """The tilted-axis mean in extended precision, memoized per axis."""
+    return _tilted_mean_sum(L, q, Direction.of(direction))
+
+
+@lru_cache(maxsize=None)
+def _tilted_mean_sum(L: int, q: int, direction: Direction) -> mpf:
     d = _check_sector(L, q)
     f, g, w = tilt_factors(direction)
     half = (L + q) // 2

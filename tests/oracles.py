@@ -5,7 +5,7 @@ algorithms than the package (permutation sums over the symmetric group,
 dense Kronecker Pauli matrices and frame rotations, direct trigonometric
 quadrature) so that agreement is meaningful.  The exceptions are code the
 package replaced, kept to pin its output: `pauli_spectrum_all_masks`
-with its own last-axis `fwht_last_axis`, `csyk_index_maps_loop`, `k1_numerator_transcribed` and
+with its own last-axis `fwht_last_axis`, `csyk_index_maps_loop`, `h_sum_transcribed`, `k1_numerator_transcribed` and
 `k4_numerator_transcribed`, whose output the package must equal exactly.  `haar_state`, `charge_expectation`,
 `kravchuk_J` and `porter_thomas_pdf` are small references that only the
 tests use.  The rejected readings of two printed closed forms,
@@ -391,7 +391,18 @@ def second_moment_printed_power(L: int, q: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# index-for-index transcriptions of the K1 and K4 second-moment kernels
+# index-for-index transcriptions of h and of the K1 and K4 second-moment
+# kernels
+
+
+def h_sum_transcribed(L: int, q: int) -> int:
+    """h(L, q) = sum_k C(L,k) K_q(L-k,k)^4 with every Kravchuk value from
+    its own binomial sum (O(L^2) operations)."""
+    if (L - q) % 2 != 0:
+        return 0
+    return sum(comb(L, k) * kravchuk_int(L - k, k, q) ** 4
+               for k in range(L + 1))
+
 
 _PHASE = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^t as (re, im)
 

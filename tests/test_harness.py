@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from sectormagic import mean_sp2, second_moment_sp2
+from sectormagic import (Direction, mean_sp2, mean_sp2_tilted, moments,
+                         second_moment_sp2)
 from sectormagic.harness import (
     CSV_HEADER,
     ConfigError,
@@ -338,6 +340,48 @@ def test_cli_analytic_mean_skips_second_moment(capsys):
     code, _, _ = run_cli(capsys, ["analytic", "mean", "--L", "6", "--q", "2"])
     assert code == 0
     assert second_moment_sp2.cache_info().currsize == 0
+
+
+#: SHA-256 of the stdout of `analytic` payloads: a faster exact layer must
+#: print the same bytes (sizes from 64 up exercise the big-integer sums)
+ANALYTIC_STDOUT_SHA256 = {
+    "variance --L 3 --q 1":
+        "9b166205a77876467358456b4e04874527633fb0b29453f1fd134550cdec5cd6",
+    "variance --L 64 --q 4":
+        "6aa9e1a5bb7114715739711bca1be8083fa7bf5b697c4b5475dd5c2cde52ec2f",
+    "variance --L 96 --q 12":
+        "1405eaa27c3ee01413906f52d4867f655f622abae449f1c602ecac0e875d1343",
+    "mean --L 200 --q 10":
+        "b9f8a7db3736c3b95a9785d2d7b610c70e9e99a10133481bcaf3a9ac306f7931",
+    "tilted --L 128 --q 0 --theta 0.7":
+        "e926eb632d7f9a425b685ec5f385935f93a707a1c370a9105608931d6a0c83c1",
+    "tilted --L 6 --q 2 --theta 1.1 --phi 0.3":
+        "301c7c1d042ded8f935c30a0542a79afc90f7eeda6dcccdd3a4f561f1e24ba4a",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ANALYTIC_STDOUT_SHA256))
+def test_cli_analytic_payload_bytes_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, ["analytic", *args.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ANALYTIC_STDOUT_SHA256[args]
+
+
+def test_cli_analytic_tilted_evaluates_the_sum_once(capsys):
+    """The payload's mean and -log2 bound share one extended-precision
+    evaluation; list and ndarray axes are still accepted."""
+    moments._tilted_mean_sum.cache_clear()
+    code, out, _ = run_cli(capsys, ["analytic", "tilted", "--L", "12",
+                                    "--q", "2", "--theta", "0.4"])
+    assert code == 0
+    assert moments._tilted_mean_sum.cache_info().misses == 1
+    want = json.loads(out)["mean_xi2"]
+    assert mean_sp2_tilted(12, 2, Direction.from_angles(0.4)) == want
+    assert moments._tilted_mean_sum.cache_info().misses == 1
+    n = [math.sin(0.4), 0.0, math.cos(0.4)]
+    for axis in (n, 3.0 * np.array(n)):
+        assert mean_sp2_tilted(12, 2, axis) == pytest.approx(want, rel=1e-14)
 
 
 def test_cli_analytic_variance_coefficient_choice(capsys):

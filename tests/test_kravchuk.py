@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sectormagic import binomial, h_sum, kravchuk_int
+from sectormagic import binomial, h_sum, kravchuk_int, kravchuk_row
 
 
 def test_binomial_total_function():
@@ -61,6 +61,23 @@ def test_top_frequency_is_one():
 def test_kravchuk_int_rejects_negative_exponents():
     with pytest.raises(ValueError):
         kravchuk_int(-1, 0, 0)
+    with pytest.raises(ValueError):
+        kravchuk_row(-1, 0)
+
+
+def test_kravchuk_row_matches_binomial_sums():
+    """The recurrence row equals the per-value binomial sums, |q| > n and
+    odd parity (all-zero rows) included."""
+    for n in range(41):
+        for q in range(-n - 2, n + 3):
+            want = [kravchuk_int(n - k, k, q) for k in range(n + 1)]
+            assert kravchuk_row(n, q) == want, (n, q)
+
+
+def test_h_sum_equals_its_transcription():
+    for L in range(65):
+        for q in range(-L - 2, L + 3):
+            assert h_sum(L, q) == oracles.h_sum_transcribed(L, q), (L, q)
 
 
 def test_h_sum_frozen_values():
