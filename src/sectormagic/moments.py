@@ -3,30 +3,37 @@ random states, tilted-charge generalizations, participation-entropy
 references, and concentration bounds.
 
 All closed forms are evaluated in arbitrary-precision integer/rational
-arithmetic (no log-domain fallback, even at L = 256);
+arithmetic (no log-domain fallback, even at L = 512);
 :func:`m2_mean_bound` takes the logarithm of the exact mean at the end.
 
 The second moment sums thirteen grouped permutation classes; the 960-class
 prefactor multiplies the sector dimension d_q.  Four classes reduce to the
 kernels K1..K4 below: K2 and K3 are binomial sums, K1 and K4 sums of
-products of the integer kernels K_q(a, b) of :mod:`sectormagic.kravchuk`.
-Both of the latter are sums of plain integers:
+products of the integer kernels K_q(a, b) of :mod:`sectormagic.kravchuk`,
+which both reduce to h(L, q) = sum_k C(L,k) R[k]^4, R[t] = K_q(L-t, t):
 
-- K1 reads only the row R[t] = K_q(L-t, t), since every factor has
-  a + b = L; the factors' (-i)^b phases multiply to (-1)^{k-j} and cancel
-  the sum's own sign (-1)^{k-j}.
+- K1 = h^2/d.  Its triple sum reads only the row R (the (-i)^b phases
+  cancel its sign (-1)^{k-j}): sum_{k,j,p} C(L,k) C(k,j) C(L-k,p) R[k]^3
+  R[s] R[t]^3, s = L-k-p+j, t = L-p-j.  At fixed k the weight
+  C(k,j) C(L-k,p) has the generating function (x+y)^k (1+xy)^{L-k} in
+  x^s y^t, and summing it against R[s] gives R[k] C(L,t) R[t]/d by
+  Krawtchouk reciprocity C(n,i) K_j(i) = C(n,j) K_i(j) (MacWilliams &
+  Sloane, ch. 5).  So the sum over j, p is R[k] h/d, and K1 = h^2/d.
+  This is a sketch; the exact test against the triple sum is the proof.
 - K4's weight C(L,k) C(k,j) C(L-k,p) is a multinomial, so collecting the
   terms at fixed n = a + b leaves sum_n C(L,n) h(n,q) h(L-n,0).
 
 Costs, in big-integer operations: h is one Kravchuk row, O(L); the mean
-is one h; K4 is 2(L+1) h sums, O(L^2); K1 stays an O(L^3) triple sum,
-its innermost sum one C-level dot product per (k, j); K2 and K3 are
-O(L).  The tilted-axis mean is an O(L^2) sum in 60 + 2L-digit
-arithmetic, evaluated once per (L, q, axis) and process.
+is one h; K1 is O(1) once h is known; K4 is 2(L+1) h sums, so the second
+moment is O(L^2); K2 and K3 are O(L).  The tilted-axis mean is an O(L^2)
+sum in 60 + 2L-digit arithmetic, evaluated once per (L, q, axis) and
+process; its a_k and b_k sums are O(L^2) C-level products over two
+Pascal rows.
 
 The index-for-index transcriptions of K1 (its (-i)^b phases tracked
-exactly) and K4, and the rejected 2^{5L} reading of the 960-class
-prefactor, live in ``tests/oracles.py``.
+exactly) and K4, the sliced K1 sum, the per-term a_k and b_k sums, and
+the rejected 2^{5L} reading of the 960-class prefactor live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, floordiv, mul
 
 import numpy as np
 from mpmath import mp, mpf
@@ -105,31 +113,6 @@ def m2_mean_bound(L: int, q: int) -> float:
 # second moment: the K1..K4 kernels
 
 
-def _k1_numerator(L: int, q: int) -> int:
-    """2^{7L} K1(L,q) = sum_{k,j,p} C(L,k) C(k,j) C(L-k,p)
-    R[k]^3 R[L-k-p+j] R[L-p-j]^3, with R[t] = K_q(L-t, t).
-
-    Every factor of the sum has a + b = L, so the row R is all it reads.
-    The factors' (-i)^b phases multiply to (-i)^{4L+2(k-j)-4p} = (-1)^{k-j},
-    which cancels the sum's own sign (-1)^{k-j}: the terms are integers.
-    """
-    row = [kravchuk_int(L - t, t, q) for t in range(L + 1)]
-    cubes = [r ** 3 for r in row]
-    total = 0
-    for k in range(L + 1):
-        if cubes[k] == 0:
-            continue
-        m = L - k
-        cm = [math.comb(m, p) for p in range(m + 1)]
-        # p -> m - p (C(m, p) is symmetric) turns both factors into slices
-        inner = sum(
-            math.comb(k, j) * sum(map(mul, cm, map(
-                mul, row[j:j + m + 1], cubes[k - j:L - j + 1])))
-            for j in range(k + 1))
-        total += math.comb(L, k) * cubes[k] * inner
-    return total
-
-
 def _k4_numerator(L: int, q: int) -> int:
     """2^{4L} K4(L,q) = sum_n C(L,n) h(n,q) h(L-n,0).
 
@@ -172,7 +155,7 @@ def second_moment_sp2(L: int, q: int) -> Fraction:
     hq = Fraction(h_sum(L, q), 2 ** L)
     total = hq * (96 * d * d + 640 * d + 1536 + 16 * hq)
     total += d * (144 * d ** 3 + 3648 * d ** 2 + 17152 * d + 8704)
-    total += 256 * Fraction(_k1_numerator(L, q), 4 ** L)
+    total += 256 * hq * hq / d
     total += (960 * d + 5920) * _k_central(L, q, 2)
     total += 1152 * _k_central(L, q, 3)
     total += 96 * Fraction(_k4_numerator(L, q), 2 ** L)
@@ -221,26 +204,41 @@ def _tilted_mean_mp(L: int, q: int, direction) -> mpf:
     return _tilted_mean_sum(L, q, Direction.of(direction))
 
 
+def _tilted_row_sums(L: int, q: int) -> tuple[list[int], list[int]]:
+    """a_k = sum_j C(k,j)^2 C(L-k, t-j) and b_k = sum_j C(k,j)^4 C(L-k, t-j)
+    for k = 0..L, t = (L+q)//2 >= -1 (all zeros at t = -1 and t = L+1).
+
+    C(k, .) is carried by addition and C(m, .), m = L-k, by the exact
+    division C(m-1, i) = C(m, i)(m-i)/m.  Reading C(m, t-j) as C(m, m-t+j)
+    makes both factors slices over j in [max(0, t-m), min(k, t)].
+    """
+    t = (L + q) // 2
+    a, b = [], []
+    up, down = [1], [math.comb(L, i) for i in range(L + 1)]
+    for k in range(L + 1):
+        m = L - k
+        lo, hi = max(0, t - m), min(k, t) + 1
+        sq = list(map(mul, up[lo:hi], up[lo:hi]))
+        col = down[m - t + lo:m - t + hi]
+        a.append(sum(map(mul, sq, col)))
+        b.append(sum(map(mul, map(mul, sq, sq), col)))
+        up = [1, *map(add, up, up[1:]), 1]
+        down = list(map(floordiv, map(mul, down[:-1], range(m, 0, -1)),
+                        repeat(m)))
+    return a, b
+
+
 @lru_cache(maxsize=None)
 def _tilted_mean_sum(L: int, q: int, direction: Direction) -> mpf:
     d = _check_sector(L, q)
     f, g, w = tilt_factors(direction)
-    half = (L + q) // 2
     with mp.workdps(60 + 2 * L):
         fm1, gm1, wm = mpf(f) - 1, mpf(g) - 1, mpf(w)
         i1 = mp.zero
         i2 = mp.zero
         i3 = mp.zero
-        for k in range(L + 1):
+        for k, (a_k, b_k) in enumerate(zip(*_tilted_row_sums(L, q))):
             cl = math.comb(L, k)
-            a_k = sum(
-                math.comb(k, j) ** 2 * binomial(L - k, half - j)
-                for j in range(k + 1)
-            )
-            b_k = sum(
-                math.comb(k, j) ** 4 * binomial(L - k, half - j)
-                for j in range(k + 1)
-            )
             if a_k and (k == 0 or fm1 != 0):
                 i1 += cl * fm1 ** k / 4 ** k * mpf(a_k) ** 2
             if b_k and (k == 0 or gm1 != 0):

@@ -4,9 +4,11 @@ Everything here is deliberately written from first principles with different
 algorithms than the package (permutation sums over the symmetric group,
 dense Kronecker Pauli matrices and frame rotations, direct trigonometric
 quadrature) so that agreement is meaningful.  The exceptions are code the
-package replaced, kept to pin its output: `pauli_spectrum_all_masks`
-with its own last-axis `fwht_last_axis`, `csyk_index_maps_loop`, `h_sum_transcribed`, `k1_numerator_transcribed` and
-`k4_numerator_transcribed`, whose output the package must equal exactly.  `haar_state`, `charge_expectation`,
+package replaced, kept to pin its output: `pauli_spectrum_all_masks` with
+its own last-axis `fwht_last_axis`, `csyk_index_maps_loop`,
+`h_sum_transcribed`, `k1_numerator_transcribed`, `k1_numerator_sliced`,
+`k4_numerator_transcribed` and `tilted_row_sums_transcribed`, whose output
+the package must equal exactly.  `haar_state`, `charge_expectation`,
 `kravchuk_J` and `porter_thomas_pdf` are small references that only the
 tests use.  The rejected readings of two printed closed forms,
 `second_moment_printed_power` and `xi_printed`, are kept so that the
@@ -20,10 +22,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 import numpy as np
 
-from sectormagic import Direction, SeedPolicy, kravchuk_int, second_moment_sp2
+from sectormagic import (Direction, SeedPolicy, binomial, kravchuk_int,
+                         second_moment_sp2)
 
 
 def rising(d: int, k: int) -> int:
@@ -391,8 +395,8 @@ def second_moment_printed_power(L: int, q: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# index-for-index transcriptions of h and of the K1 and K4 second-moment
-# kernels
+# index-for-index transcriptions of h, of the K1 and K4 second-moment
+# kernels and of the tilted mean's row sums
 
 
 def h_sum_transcribed(L: int, q: int) -> int:
@@ -426,6 +430,32 @@ def k1_numerator_transcribed(L: int, q: int) -> tuple[int, int]:
     return acc[0], acc[1]
 
 
+def k1_numerator_sliced(L: int, q: int) -> int:
+    """2^{7L} K1(L,q) = sum_{k,j,p} C(L,k) C(k,j) C(L-k,p)
+    R[k]^3 R[L-k-p+j] R[L-p-j]^3, with R[t] = K_q(L-t, t), as plain
+    integers (O(L^3) operations).
+
+    Every factor of the sum has a + b = L, so the row R is all it reads.
+    The factors' (-i)^b phases multiply to (-i)^{4L+2(k-j)-4p} = (-1)^{k-j},
+    which cancels the sum's own sign (-1)^{k-j}: the terms are integers.
+    """
+    row = [kravchuk_int(L - t, t, q) for t in range(L + 1)]
+    cubes = [r ** 3 for r in row]
+    total = 0
+    for k in range(L + 1):
+        if cubes[k] == 0:
+            continue
+        m = L - k
+        cm = [comb(m, p) for p in range(m + 1)]
+        # p -> m - p (C(m, p) is symmetric) turns both factors into slices
+        inner = sum(
+            comb(k, j) * sum(map(mul, cm, map(
+                mul, row[j:j + m + 1], cubes[k - j:L - j + 1])))
+            for j in range(k + 1))
+        total += comb(L, k) * cubes[k] * inner
+    return total
+
+
 def k4_numerator_transcribed(L: int, q: int) -> int:
     """2^{4L} K4(L,q) as the triple sum over k, j, p; the second
     fourth-power factor carries frequency 0, the first the charge q."""
@@ -434,6 +464,18 @@ def k4_numerator_transcribed(L: int, q: int) -> int:
                * kravchuk_int(j, p, 0) ** 4
                for k in range(L + 1) for j in range(k + 1)
                for p in range(L - k + 1))
+
+
+def tilted_row_sums_transcribed(L: int, q: int) -> tuple[list[int], list[int]]:
+    """The tilted mean's a_k = sum_j C(k,j)^2 C(L-k, t-j) and
+    b_k = sum_j C(k,j)^4 C(L-k, t-j), t = (L+q)//2, k = 0..L, one
+    binomial per term."""
+    half = (L + q) // 2
+    a = [sum(comb(k, j) ** 2 * binomial(L - k, half - j)
+             for j in range(k + 1)) for k in range(L + 1)]
+    b = [sum(comb(k, j) ** 4 * binomial(L - k, half - j)
+             for j in range(k + 1)) for k in range(L + 1)]
+    return a, b
 
 
 def xi_printed(s: float) -> float:

@@ -357,6 +357,10 @@ ANALYTIC_STDOUT_SHA256 = {
         "e926eb632d7f9a425b685ec5f385935f93a707a1c370a9105608931d6a0c83c1",
     "tilted --L 6 --q 2 --theta 1.1 --phi 0.3":
         "301c7c1d042ded8f935c30a0542a79afc90f7eeda6dcccdd3a4f561f1e24ba4a",
+    "variance --L 128 --q 0":
+        "095babd08776bf08471745fc504ca39f3f99a441273ead5454c8e52b8cae5d62",
+    "tilted --L 97 --q 5 --theta 0.4 --phi 1.3":
+        "e865c2192453a73a4c0152af8510f9fcfa0c3353ed8be403983eaf1317509744",
 }
 
 

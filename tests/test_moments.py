@@ -9,6 +9,7 @@ import oracles
 from sectormagic import (
     SectorError,
     analytic_moments,
+    h_sum,
     haar_mean_sp2,
     levy_tail_bound,
     levy_variance_bound,
@@ -21,7 +22,7 @@ from sectormagic import (
     sector_dimension,
     variance_sp2,
 )
-from sectormagic.moments import LIPSCHITZ_ETA, _k1_numerator, _k4_numerator
+from sectormagic.moments import LIPSCHITZ_ETA, _k4_numerator
 
 
 def charges(L):
@@ -53,15 +54,29 @@ def test_second_moment_matches_s8_engine():
 
 
 def test_kernels_equal_their_transcriptions():
-    """K1 and K4 as plain-integer sums (one Kravchuk row, one sum of h)
-    equal the index-for-index triple sums; the transcribed K1's imaginary
-    part is exactly zero."""
+    """K1 = h^2/d and K4 as one sum of h equal the index-for-index triple
+    sums; the transcribed K1's imaginary part is exactly zero."""
     for L in [*range(1, 21), 24, 31]:
         for q in charges(L):
             re, im = oracles.k1_numerator_transcribed(L, q)
             assert im == 0
-            assert _k1_numerator(L, q) == re
+            assert h_sum(L, q) ** 2 == sector_dimension(L, q) * re
             assert _k4_numerator(L, q) == oracles.k4_numerator_transcribed(L, q)
+
+
+@pytest.mark.parametrize("sizes", [
+    [(L, q) for L in range(1, 41) for q in charges(L)],
+    [(L, q) for L in (64, 96) for q in charges(L)],
+    [(256, 2)],
+], ids=["L<=40", "L=64,96", "L=256"])
+def test_k1_is_h_squared_over_d(sizes):
+    """The sliced O(L^3) K1 sum is h^2/d, an exact integer (Krawtchouk
+    reciprocity; see the moments docstring)."""
+    for L, q in sizes:
+        d = sector_dimension(L, q)
+        k1, rest = divmod(h_sum(L, q) ** 2, d)
+        assert rest == 0, (L, q)
+        assert k1 == oracles.k1_numerator_sliced(L, q), (L, q)
 
 
 def test_frozen_rationals():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sectormagic import (
     Direction,
     SeedPolicy,
@@ -14,7 +15,19 @@ from sectormagic import (
     tilted_m2_bound,
 )
 from sectormagic.asymptotics import tilted_asymptotic_q0
-from sectormagic.moments import tilt_factors
+from sectormagic.moments import _tilted_row_sums, tilt_factors
+
+
+@pytest.mark.parametrize("sizes", [
+    [(L, q) for L in range(41) for q in range(-L - 2, L + 3)],
+    [(128, 0), (256, 0)],
+], ids=["L<=40", "L=128,256"])
+def test_tilted_row_sums_equal_their_transcription(sizes):
+    """The Pascal-row a_k and b_k sums are the per-term binomial sums,
+    empty slices (t = -1 and t = L + 1), q = +-L and odd L + q included."""
+    for L, q in sizes:
+        assert _tilted_row_sums(L, q) == \
+            oracles.tilted_row_sums_transcribed(L, q), (L, q)
 
 
 def test_tilt_factors_unity_on_axes():
