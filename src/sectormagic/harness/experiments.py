@@ -23,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import scipy.stats
 
-from ..sectors import Direction, enumerate_sector, sector_dimension
+from ..sectors import (Direction, apply_frame_rotation, enumerate_sector,
+                       sector_dimension)
 from ..moments import (
     haar_mean_sp2,
     m2_mean_bound,
@@ -35,8 +36,11 @@ from ..moments import (
     variance_sp2,
 )
 from ..asymptotics import asymptotic_prediction, nearest_sector_charge
-from ..sampler import GaussianStream, SeedPolicy, constrained_haar_state
-from ..magic import pauli_spectrum, shannon_pe
+from ..sampler import GaussianStream, SeedPolicy, sector_haar_coefficients
+from ..magic import pauli_spectrum
+# not called here; bench/tracer.py times these names on this module
+from ..sampler import constrained_haar_state  # noqa: F401
+from ..magic import shannon_pe  # noqa: F401
 from ..hamiltonians import (
     L_RANGE,
     adjacent_gap_ratio,
@@ -161,38 +165,75 @@ def _haar_chunk(args):
     Observables: xi2 and m2 (Pauli kernel), ipr2 = sum p^2 and s2, the
     Shannon participation entropy shannon_pe, and probe, the weight
     d |c_x0|^2 of the first sector basis state.  Only the requested ones
-    are computed.
+    are computed.  The chunk's coefficients are drawn as one block; the
+    participation observables of z-frame states come from its weights, and
+    kernel calls and rotated-frame states take the embedded states one at
+    a time.  Every value has the bits of the per-state computation kept in
+    tests/oracles.py.
     """
     keys, L, q, frame, observables, hist_bins = args
+    basis = enumerate_sector(L, q)
+    coeffs = sector_haar_coefficients(keys, basis.dimension)
     kernel = "xi2" in observables or "m2" in observables
-    weights = not {"ipr2", "s2", "probe"}.isdisjoint(observables)
-    if "probe" in observables:
-        basis = enumerate_sector(L, q)
-        d, probe = basis.dimension, int(basis.states[0])
-    rows = np.empty((len(keys), len(observables)))
+    # a z-frame state's weights sit on the sector basis states, in
+    # increasing x; its probe weight is in column 0
+    cols = (_participation(np.abs(coeffs) ** 2, basis.states, 0, basis,
+                           observables) if frame == "z" else {})
+    if kernel:
+        cols["xi2"] = np.empty(len(keys))
+        cols["m2"] = np.empty(len(keys))
     hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
-    for i, key in enumerate(keys):
-        state = constrained_haar_state(L, q, frame=frame,
-                                       seed=GaussianStream(key))
-        value = {}
+    for i, c in enumerate(coeffs if kernel or frame != "z" else ()):
+        state = basis.embed(c)
+        if frame != "z":
+            state = apply_frame_rotation(state, frame)
+            one = _participation((np.abs(state) ** 2)[None], slice(None),
+                                 int(basis.states[0]), basis, observables)
+            for obs, (value,) in one.items():
+                cols.setdefault(obs, np.empty(len(keys)))[i] = value
         if kernel:
             summ = pauli_spectrum(state, (2.0,),
                                   histogram_bins=hist_bins or None)
-            value["xi2"] = summ.purity(2.0)
+            xi2 = cols["xi2"][i] = summ.purity(2.0)
             # 0.0 - x, not -x: a zero entropy is written as 0, not -0
-            value["m2"] = 0.0 - math.log2(value["xi2"])
+            cols["m2"][i] = 0.0 - math.log2(xi2)
             if hist is not None:
                 hist += summ.histogram[0]
-        if weights:
-            p = np.abs(state) ** 2
-            value["ipr2"] = float(p @ p)
-            value["s2"] = 0.0 - math.log2(value["ipr2"])
-            if "probe" in observables:
-                value["probe"] = d * float(p[probe])
-        if "shannon_pe" in observables:
-            value["shannon_pe"] = shannon_pe(state)
-        rows[i] = [value[obs] for obs in observables]
-    return rows, hist
+    return np.column_stack([cols[obs] for obs in observables]), hist
+
+
+def _participation(weights, support, probe: int, basis, observables):
+    """The requested participation observables of a block of states, one
+    array per observable.  Row i of weights holds the weights p_x =
+    |c_x|^2 of one normalized 2^L-amplitude state at x = support, in
+    increasing x (every other p_x is 0); column probe holds x0, the first
+    state of the sector basis.
+
+    Each value has the bits of the formula on the full 2^L weight vector:
+    ipr2 is one BLAS dot over the 2^L weights (a dot over the support alone
+    rounds differently), and shannon_pe is one 1-D pairwise np.sum per row
+    over the positive weights, the order of magic.shannon_pe (numpy does
+    not promise that order for a 2-D reduction along axis 1).
+    """
+    out = {}
+    if not {"ipr2", "s2"}.isdisjoint(observables):
+        full = np.zeros(2 ** basis.L)
+        ipr2 = np.empty(len(weights))
+        for i, w in enumerate(weights):
+            full[support] = w
+            ipr2[i] = full @ full
+        out["ipr2"] = ipr2
+        out["s2"] = np.array([0.0 - math.log2(x) for x in ipr2])
+    if "shannon_pe" in observables:
+        positive = weights > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = weights * np.log2(weights)
+        out["shannon_pe"] = np.array([
+            0.0 - np.sum(t if pos.all() else t[pos])
+            for t, pos in zip(terms, positive)])
+    if "probe" in observables:
+        out["probe"] = basis.dimension * weights[:, probe]
+    return out
 
 
 def _haar_draws(exp_id, samples, seed, threads, L, q, frame, observables,

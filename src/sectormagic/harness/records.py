@@ -50,11 +50,10 @@ class RunRecord:
             raise ValueError(f"unknown observable {self.observable!r}")
 
     def to_csv_line(self) -> str:
-        return ",".join(
-            format_value(v)
-            for v in (self.experiment, self.seed, self.task, self.L, self.q,
-                      self.observable, self.value, self.aux1, self.aux2)
-        )
+        f = format_value
+        return (f"{f(self.experiment)},{f(self.seed)},{f(self.task)},"
+                f"{f(self.L)},{f(self.q)},{f(self.observable)},"
+                f"{f(self.value)},{f(self.aux1)},{f(self.aux2)}")
 
     def to_dict(self) -> dict:
         return {
@@ -71,10 +70,11 @@ class RunRecord:
 
 
 def write_csv(records, path) -> None:
+    """Stream the rows to path; joining the whole file into one string
+    first would hold it all in memory."""
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.to_csv_line() + "\n")
+        fh.writelines(rec.to_csv_line() + "\n" for rec in records)
 
 
 def render_csv(records) -> str:

@@ -5,7 +5,8 @@ algorithms than the package (permutation sums over the symmetric group,
 dense Kronecker Pauli matrices and frame rotations, direct trigonometric
 quadrature) so that agreement is meaningful.  The exceptions are code the
 package replaced, kept to pin its output: `pauli_spectrum_all_masks` with
-its own last-axis `fwht_last_axis`, `csyk_index_maps_loop`,
+its own last-axis `fwht_last_axis`, `haar_chunk_per_state`,
+`csyk_index_maps_loop`,
 `h_sum_transcribed`, `k1_numerator_transcribed`, `k1_numerator_sliced`,
 `k4_numerator_transcribed` and `tilted_row_sums_transcribed`, whose output
 the package must equal exactly.  `haar_state`, `charge_expectation`,
@@ -26,8 +27,10 @@ from operator import mul
 
 import numpy as np
 
-from sectormagic import (Direction, SeedPolicy, binomial, kravchuk_int,
-                         second_moment_sp2)
+from sectormagic import (Direction, GaussianStream, SeedPolicy, binomial,
+                         constrained_haar_state, enumerate_sector,
+                         kravchuk_int, pauli_spectrum, second_moment_sp2,
+                         shannon_pe)
 
 
 def rising(d: int, k: int) -> int:
@@ -163,6 +166,42 @@ def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,),
     return PauliSpectrumSummary(L=n.bit_length() - 1,
                                 purities={a: acc[a] / n for a in alphas},
                                 histogram=histogram)
+
+
+def haar_chunk_per_state(args):
+    """The sector-Haar chunk worker drawing and reducing one state at a
+    time: a GaussianStream per key, the embedded (and rotated) state, the
+    weights of its 2^L amplitudes.  Same arguments and results as
+    `experiments._haar_chunk`, which must equal it bit for bit."""
+    keys, L, q, frame, observables, hist_bins = args
+    kernel = "xi2" in observables or "m2" in observables
+    weights = not {"ipr2", "s2", "probe"}.isdisjoint(observables)
+    if "probe" in observables:
+        basis = enumerate_sector(L, q)
+        d, probe = basis.dimension, int(basis.states[0])
+    rows = np.empty((len(keys), len(observables)))
+    hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
+    for i, key in enumerate(keys):
+        state = constrained_haar_state(L, q, frame=frame,
+                                       seed=GaussianStream(key))
+        value = {}
+        if kernel:
+            summ = pauli_spectrum(state, (2.0,),
+                                  histogram_bins=hist_bins or None)
+            value["xi2"] = summ.purity(2.0)
+            value["m2"] = 0.0 - math.log2(value["xi2"])
+            if hist is not None:
+                hist += summ.histogram[0]
+        if weights:
+            p = np.abs(state) ** 2
+            value["ipr2"] = float(p @ p)
+            value["s2"] = 0.0 - math.log2(value["ipr2"])
+            if "probe" in observables:
+                value["probe"] = d * float(p[probe])
+        if "shannon_pe" in observables:
+            value["shannon_pe"] = shannon_pe(state)
+        rows[i] = [value[obs] for obs in observables]
+    return rows, hist
 
 
 # single-qubit U with U sigma^z U^dagger = sigma^frame

@@ -251,6 +251,17 @@ def test_ensemble_worker_count_invariance():
     assert out[0] == out[1]
 
 
+def test_pe_check_worker_count_invariance():
+    """pe-check records and summary are byte-identical for any worker
+    split; 130 samples leave a short third chunk."""
+    out = []
+    for threads in (1, 3):
+        records, summary = run_pe_check(10, 0, 130, seed=13, threads=threads)
+        out.append((render_csv(records),
+                    json.dumps(summary, sort_keys=True)))
+    assert out[0] == out[1]
+
+
 def test_variance_convergence_checkpoints():
     records, summary = run_variance_convergence(2, [0], 300, seed=2,
                                                threads=1,

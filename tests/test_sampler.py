@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from sectormagic import (
     enumerate_sector,
     stabilizer_purity_fast,
 )
+from sectormagic.sampler import _philox_at, sector_haar_coefficients
 
 from oracles import charge_expectation, haar_state
 
@@ -37,6 +39,49 @@ def test_stream_determinism_and_key_separation():
     np.testing.assert_array_equal(a, b)
     c = GaussianStream(43).complex_normals(64)
     assert not np.array_equal(a, c)
+
+
+def test_complex_normals_pinned():
+    """The first Gaussians of one stream, by digest of their bytes."""
+    z = GaussianStream(42).complex_normals(8)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == (
+        "f22204e97cd4832776e3cee8bd688ce361203846e33cac561d9fff5c7b1fa24e")
+
+
+@pytest.mark.parametrize("key", [0, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1])
+def test_rekeyed_philox_equals_a_constructed_one(key):
+    rekeyed = _philox_at(np.random.Philox(0), key)
+    np.testing.assert_array_equal(rekeyed.random_raw(11),
+                                  np.random.Philox(key=key).random_raw(11))
+
+
+def test_rekeying_leaks_no_state():
+    """Re-keying resets the counter, the four-word output buffer and the
+    held 32-bit half: what one key drew leaves nothing for the next."""
+    bitgen = np.random.Philox(0)
+    for key, n in ((3, 7), (2 ** 100 + 5, 3), (3, 10), (9, 4)):
+        np.testing.assert_array_equal(
+            _philox_at(bitgen, key).random_raw(n),
+            np.random.Philox(key=key).random_raw(n))
+        # an odd count of 32-bit draws leaves a half word held
+        gen = np.random.Generator(_philox_at(bitgen, key))
+        ref = np.random.Generator(np.random.Philox(key=key))
+        for m in (n, 1):
+            np.testing.assert_array_equal(
+                gen.integers(0, 2 ** 32, size=m, dtype=np.uint32),
+                ref.integers(0, 2 ** 32, size=m, dtype=np.uint32))
+
+
+def test_sector_coefficients_equal_the_per_state_draws():
+    L, q = 6, 2
+    basis = enumerate_sector(L, q)
+    keys = [SeedPolicy(4).child_key("block", i) for i in range(5)]
+    block = sector_haar_coefficients(keys, basis.dimension)
+    for key, coeffs in zip(keys, block):
+        psi = constrained_haar_state(L, q, seed=GaussianStream(key))
+        assert coeffs.tobytes() == psi[basis.states].tobytes()
+    with pytest.raises(SectorError):
+        sector_haar_coefficients(keys, 0)
 
 
 def test_seed_policy_child_keys():
