@@ -302,11 +302,8 @@ def diagonalize(matrix: np.ndarray) -> EigenSystem:
     pivot = np.argmax(np.abs(evecs), axis=0)
     lead = evecs[pivot, np.arange(evecs.shape[1])]
     phase = np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
-    evecs = evecs / phase[None, :]
-    if np.iscomplexobj(evecs):
-        evecs = np.ascontiguousarray(evecs)
-    else:
-        evecs = np.ascontiguousarray(evecs.real)
+    # a real matrix has real vectors and real phases: no cast needed
+    evecs = np.ascontiguousarray(evecs / phase[None, :])
 
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     resid = np.max(np.abs(Hm @ evecs - evecs * evals[None, :]))
@@ -325,12 +322,14 @@ def midspectrum_filter(evals: np.ndarray, L: int, window: float | None = None,
 
     window:   keep |E / L| < window (strict).
     fraction: keep the central round(fraction * n) eigenvalues by sorted
-              position, starting at (n - k) // 2.
+              position, starting at (n - k) // 2; 0 <= fraction <= 1.
     Exactly one selector must be given.
     """
     evals = np.asarray(evals)
     if (window is None) == (fraction is None):
         raise ValueError("give exactly one of window= or fraction=")
+    if fraction is not None and not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     if window is not None:
         return np.nonzero(np.abs(evals / L) < window)[0]
     n = evals.size

@@ -13,6 +13,7 @@ contract violation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -20,13 +21,14 @@ from typing import Any, Callable, NamedTuple
 
 from ..asymptotics import (_check_density, asymptotic_prediction,
                            tilted_asymptotic_q0)
-from ..hamiltonians import NumericalContractError
+from ..hamiltonians import NumericalContractError, build_mfim, build_xxz_nnn
 from ..moments import (SectorError, analytic_moments, levy_variance_bound,
                        m2_mean_bound, mean_sp2, mean_sp2_tilted,
                        tilted_m2_bound)
 from ..sectors import Direction, sector_dimension
 from .config import ConfigError, load_config
-from .experiments import (run_asymptotic_collapse, run_disorder_sweep,
+from .experiments import (_L_CAP_DEFAULT, _L_CAP_LARGE,
+                          run_asymptotic_collapse, run_disorder_sweep,
                           run_ensemble_experiment, run_mixed_charge,
                           run_pe_check, run_self_averaging,
                           run_variance_convergence)
@@ -89,13 +91,21 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _coupling_keys(build, what: str) -> tuple:
+    """One key per coupling of a chain builder: every parameter after L,
+    with the builder's own default."""
+    params = list(inspect.signature(build).parameters.values())[1:]
+    return tuple(Key(p.name, _finite, p.default, what) for p in params)
+
+
 # keys shared by several experiments
 SIZE = Key("L", _at_least(1), 8, "number of qubits")
 CHARGES = Key("q", int, (0,), "charge sector", many=True)
 CHARGE = CHARGES._replace(default=0, many=False)
 SAMPLES = Key("samples", int, 1000, "draws per sector")
 ALLOW_LARGE = Key("allow_large", _bool, False,
-                  "raise the sampling cap from L <= 12 to L <= 14")
+                  f"raise the sampling cap from L <= {_L_CAP_DEFAULT} "
+                  f"to L <= {_L_CAP_LARGE}")
 SEED = Key("seed", int, 0, "root seed of the per-task random streams")
 THREADS = Key("threads", int, None,
               "worker processes (default SECTORMAGIC_THREADS, else cpu count)")
@@ -114,12 +124,8 @@ FRACTION = Key("fraction", _finite, None,
 THETAS = Key("theta", _finite, REQUIRED, "polar angle of the charge axis",
              many=True)
 PHI = Key("phi", _finite, 0.0, "azimuth of the charge axis")
-XXZ_COUPLINGS = tuple(Key(name, _finite, value, "xxz coupling") for name, value
-                      in (("J1", 1.0), ("delta", 0.5), ("J2", 0.0),
-                          ("h_b", 0.0), ("h_x", 0.0)))
-MFIM_COUPLINGS = tuple(Key(name, _finite, value, "mfim field") for name, value
-                       in (("g", 1.1), ("h", 0.35), ("h1", 0.25),
-                           ("hL", -0.25)))
+XXZ_COUPLINGS = _coupling_keys(build_xxz_nnn, "xxz coupling")
+MFIM_COUPLINGS = _coupling_keys(build_mfim, "mfim field")
 ANALYTIC_SIZE = SIZE._replace(default=REQUIRED)
 ANALYTIC_CHARGE = CHARGE._replace(default=REQUIRED)
 

@@ -109,6 +109,12 @@ def _size_check(Ls, qs, L_range, dim_cap: int, what: str):
                     f"sector (L={L}, q={q}) has dimension {d} > {dim_cap}")
 
 
+def _fraction_check(fraction):
+    """Refuse, before any work, a band fraction outside [0, 1]."""
+    if fraction is not None and not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"fraction must be in [0, 1], got {fraction}")
+
+
 def _budget_check(L: int, qs, allow_large: bool):
     cap = _L_CAP_LARGE if allow_large else _L_CAP_DEFAULT
     _size_check([L], qs, (1, cap), _SECTOR_DIM_CAP,
@@ -170,6 +176,11 @@ def _haar_chunk(args):
     kernel calls and rotated-frame states take the embedded states one at
     a time.  Every value has the bits of the per-state computation kept in
     tests/oracles.py.
+
+    Rotated frames stay per state: rotating the whole (64, 4096) block at
+    once, in an x-frame pe-check at L = 12, took 717-827 us per state
+    against 557-755 us for the per-state path (median of 15 calls,
+    repeated 5 times, on a 2-vCPU machine).
     """
     keys, L, q, frame, observables, hist_bins = args
     basis = enumerate_sector(L, q)
@@ -476,6 +487,7 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
         raise ConfigError(f"unknown model {model!r}")
     if (window is None) == (fraction is None):
         raise ConfigError("give exactly one of window / fraction")
+    _fraction_check(fraction)
     qs = [None] if qs is None else list(qs)
     if model == "mfim" and qs != [None]:
         raise ConfigError("mfim has no conserved charge; leave qs unset")
@@ -541,6 +553,7 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
         raise ConfigError(f"unknown model {model!r}")
     if model == "mfim":
         raise ConfigError("self-averaging driver needs a charge sector")
+    _fraction_check(fraction)
     q = 0  # half filling / zero magnetization
     _size_check(Ls, [q], L_RANGE[model], _BLOCK_DIM_CAP, model)
     for L in Ls:

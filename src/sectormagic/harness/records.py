@@ -96,8 +96,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if hasattr(obj, "tolist"):  # numpy scalars and arrays
         return _jsonable(obj.tolist())
-    if isinstance(obj, float):
-        return obj
     return obj
 
 

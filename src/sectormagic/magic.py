@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sectors import _qubit_count
+
 __all__ = [
     "PauliSpectrumSummary",
     "pauli_spectrum",
@@ -48,14 +50,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
-
-
-def _qubit_count(state: np.ndarray) -> int:
-    n = state.size
-    L = n.bit_length() - 1
-    if 2 ** L != n:
-        raise ValueError("state length must be a power of two")
-    return L
 
 
 def _check_normalized(state: np.ndarray):
@@ -170,10 +164,8 @@ def pauli_spectrum(
             hist_counts += c
         del g2
         for a in alphas:
-            if a == 2.0:
-                acc[a] += float(np.sum(p * p))
-            else:
-                acc[a] += float(np.sum(p ** a))
+            # p ** 2.0 is np.square, bitwise p * p
+            acc[a] += float(np.sum(p ** a))
         del p
 
     purities = {a: acc[a] / n for a in alphas}

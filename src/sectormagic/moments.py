@@ -49,7 +49,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .kravchuk import binomial, h_sum, kravchuk_int
-from .sectors import Direction, SectorError, sector_dimension
+from .sectors import Direction, SectorError, _check_sector
 
 __all__ = [
     "SectorError",
@@ -74,13 +74,6 @@ __all__ = [
 #: Lipschitz constant of the 2-stabilizer-purity as a function of the state,
 #: entering the concentration-of-measure bounds.
 LIPSCHITZ_ETA = 5.4
-
-
-def _check_sector(L: int, q: int) -> int:
-    d = sector_dimension(L, q)
-    if d == 0:
-        raise SectorError(f"empty sector: L={L}, q={q}")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +192,6 @@ def tilt_factors(direction) -> tuple[float, float, float]:
     return f, g, s4
 
 
-def _tilted_mean_mp(L: int, q: int, direction) -> mpf:
-    """The tilted-axis mean in extended precision, memoized per axis."""
-    return _tilted_mean_sum(L, q, Direction.of(direction))
-
-
 def _tilted_row_sums(L: int, q: int) -> tuple[list[int], list[int]]:
     """a_k = sum_j C(k,j)^2 C(L-k, t-j) and b_k = sum_j C(k,j)^4 C(L-k, t-j)
     for k = 0..L, t = (L+q)//2 >= -1 (all zeros at t = -1 and t = L+1).
@@ -230,6 +218,7 @@ def _tilted_row_sums(L: int, q: int) -> tuple[list[int], list[int]]:
 
 @lru_cache(maxsize=None)
 def _tilted_mean_sum(L: int, q: int, direction: Direction) -> mpf:
+    """The tilted-axis mean in extended precision, memoized per axis."""
     d = _check_sector(L, q)
     f, g, w = tilt_factors(direction)
     with mp.workdps(60 + 2 * L):
@@ -257,13 +246,13 @@ def mean_sp2_tilted(L: int, q: int, direction) -> float:
     Evaluated in extended precision (the alternating (f-1)^k sums cancel to
     ~2L bits); reduces to :func:`mean_sp2` exactly on coordinate axes.
     """
-    return float(_tilted_mean_mp(L, q, direction))
+    return float(_tilted_mean_sum(L, q, Direction.of(direction)))
 
 
 def tilted_m2_bound(L: int, q: int, direction) -> float:
     """-log2 of the tilted-axis mean, computed before leaving extended
     precision (safe for large L)."""
-    v = _tilted_mean_mp(L, q, direction)
+    v = _tilted_mean_sum(L, q, Direction.of(direction))
     with mp.workdps(60 + 2 * L):
         return float(-mp.log(v) / mp.log(2))
 

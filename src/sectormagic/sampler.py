@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .sectors import (SectorBasisMap, SectorError, apply_frame_rotation,
+from .sectors import (SectorError, _check_sector, apply_frame_rotation,
                       enumerate_sector)
 
 __all__ = [
@@ -135,20 +135,14 @@ def _as_stream(seed) -> GaussianStream:
     return SeedPolicy(int(seed)).stream("adhoc", 0)
 
 
-def _sector_or_raise(L: int, q: int) -> SectorBasisMap:
-    basis = enumerate_sector(L, q)
-    if basis.dimension == 0:
-        raise SectorError(f"empty sector: L={L}, q={q}")
-    return basis
-
-
 def constrained_haar_state(L: int, q: int, frame="z", seed=0) -> np.ndarray:
     """Haar-random state constrained to charge sector q in the given frame.
 
     frame: 'x' | 'y' | 'z' or a Direction.  Draws d_q complex Gaussians on
     the z-sector basis, normalizes, embeds, and rotates into the frame.
     """
-    basis = _sector_or_raise(L, q)
+    _check_sector(L, q)
+    basis = enumerate_sector(L, q)
     coeffs = _as_stream(seed).complex_normals(basis.dimension)
     coeffs /= np.linalg.norm(coeffs)
     psi = basis.embed(coeffs)

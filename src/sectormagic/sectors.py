@@ -52,6 +52,23 @@ def sector_dimension(L: int, q: int) -> int:
     return math.comb(L, (L - q) // 2)
 
 
+def _check_sector(L: int, q: int) -> int:
+    """Dimension of the charge-q sector; SectorError if it is empty."""
+    d = sector_dimension(L, q)
+    if d == 0:
+        raise SectorError(f"empty sector: L={L}, q={q}")
+    return d
+
+
+def _qubit_count(state: np.ndarray) -> int:
+    """L of a 2^L-amplitude state; ValueError for any other length."""
+    n = state.size
+    L = n.bit_length() - 1
+    if 2 ** L != n:
+        raise ValueError("state length must be a power of two")
+    return L
+
+
 @dataclass(frozen=True)
 class SectorBasisMap:
     """Ordered basis of a charge sector.
@@ -195,13 +212,8 @@ def apply_frame_rotation(state: np.ndarray, frame, inverse: bool = False) -> np.
     U = frame_rotation_matrix(frame)
     if inverse:
         U = U.conj().T
-    psi = np.asarray(state, dtype=complex)
-    n = psi.size
-    L = n.bit_length() - 1
-    if 2 ** L != n:
-        raise ValueError("state length must be a power of two")
-    out = psi.copy()
-    for j in range(L):
+    out = np.asarray(state, dtype=complex).copy()
+    for j in range(_qubit_count(out)):
         v = out.reshape(-1, 2, 2 ** j)
         a = U[0, 0] * v[:, 0, :] + U[0, 1] * v[:, 1, :]
         b = U[1, 0] * v[:, 0, :] + U[1, 1] * v[:, 1, :]

@@ -255,6 +255,19 @@ def test_diagonalize_contracts():
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_diagonalize_vector_layout():
+    """Vectors are C-contiguous, real for a real symmetric matrix and
+    complex for a complex Hermitian one."""
+    rng = np.random.default_rng(5)
+    S = rng.normal(size=(12, 12))
+    H = S + 1j * rng.normal(size=(12, 12))
+    for matrix, dtype in (((S + S.T) / 2, np.float64),
+                          ((H + H.conj().T) / 2, np.complex128)):
+        vectors = diagonalize(matrix).vectors
+        assert vectors.dtype == dtype
+        assert vectors.flags.c_contiguous
+
+
 def test_midspectrum_filter_window_and_fraction():
     evals = np.array([-3.0, -1.0, -0.2, 0.1, 2.0])
     np.testing.assert_array_equal(
@@ -272,6 +285,11 @@ def test_midspectrum_filter_window_and_fraction():
         midspectrum_filter(evals, 2)
     with pytest.raises(ValueError):
         midspectrum_filter(evals, 2, window=0.1, fraction=0.1)
+    np.testing.assert_array_equal(midspectrum_filter(evals, 2, fraction=0.0),
+                                  [])
+    for fraction in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"fraction must be in \[0, 1\]"):
+            midspectrum_filter(evals, 2, fraction=fraction)
 
 
 def test_midspectrum_fraction_unsorted_input():

@@ -514,6 +514,13 @@ def test_cli_degenerate_inputs_refused_up_front(capsys):
                  ["self-averaging", "--L", "4", "--realizations", "0"],
                  ["self-averaging", "--L", "4", "--fraction", "0"]):
         _refused(capsys, argv + ["--seed", "0", "--threads", "1"])
+    # a band fraction outside [0, 1]: no traceback, no silently shifted band
+    for argv in (["self-averaging", "--L", "4", "--realizations", "2",
+                  "--fraction", "-0.5"],
+                 ["csyk", "--L", "4", "--q", "0", "--realizations", "2",
+                  "--fraction", "1.5"]):
+        err = _refused(capsys, argv + ["--seed", "0", "--threads", "1"])
+        assert "fraction must be in [0, 1]" in err
     # an empty mid-spectrum band is known before any diagonalization
     err = _refused(capsys, ["self-averaging", "--L", "4", "--L", "6",
                             "--fraction", "0.01", "--threads", "1"])

@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 import oracles
 from sectormagic import (
     Direction,
+    SectorError,
     apply_frame_rotation,
+    constrained_haar_state,
     enumerate_sector,
+    levy_tail_bound,
+    levy_variance_bound,
+    mean_sp2,
+    mean_sp2_tilted,
+    pauli_spectrum,
     sector_dimension,
+    variance_sp2,
 )
 from sectormagic.sectors import frame_rotation_matrix, popcount
 
@@ -130,6 +138,30 @@ def test_apply_frame_rotation_matches_dense_kron():
 def test_apply_frame_rotation_rejects_bad_length():
     with pytest.raises(ValueError):
         apply_frame_rotation(np.ones(3, dtype=complex), "x")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mean_sp2(4, 1),
+    lambda: variance_sp2(4, 1),
+    lambda: mean_sp2_tilted(4, 1, "x"),
+    lambda: levy_tail_bound(4, 1, 0.1),
+    lambda: levy_variance_bound(4, 1),
+    lambda: constrained_haar_state(4, 1),
+], ids=["mean_sp2", "variance_sp2", "mean_sp2_tilted", "levy_tail_bound",
+        "levy_variance_bound", "constrained_haar_state"])
+def test_empty_sector_message_is_shared(call):
+    with pytest.raises(SectorError, match="empty sector: L=4, q=1"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda psi: pauli_spectrum(psi),
+    lambda psi: apply_frame_rotation(psi, "x"),
+], ids=["pauli_spectrum", "apply_frame_rotation"])
+def test_state_length_message_is_shared(call):
+    with pytest.raises(ValueError,
+                       match="state length must be a power of two"):
+        call(np.full(3, 3 ** -0.5, dtype=complex))
 
 
 def test_charge_expectation_matches_dense_operator():
