@@ -108,7 +108,8 @@ ALLOW_LARGE = Key("allow_large", _bool, False,
                   f"to L <= {_L_CAP_LARGE}")
 SEED = Key("seed", int, 0, "root seed of the per-task random streams")
 THREADS = Key("threads", int, None,
-              "worker processes (default SECTORMAGIC_THREADS, else cpu count)")
+              "worker processes (default SECTORMAGIC_THREADS, else the CPUs "
+              "in the affinity mask)")
 OUT = Key("out", str, None, "output prefix; writes <out>.csv|.jsonl and "
                             "<out>.summary.json")
 FORMAT = Key("format", str, "csv", "record file format",

@@ -3,14 +3,16 @@
 Two state sources, sector-Haar draws (`_haar_chunk`) and disorder
 realizations (`_disorder_chunk`), run behind one task dispatcher
 (`_dispatch`); each run_* driver only reduces their rows to RunRecords,
-SummaryStats and a summary dict.  Task i of an experiment owns the stream
-SeedPolicy(seed).stream(experiment id, i), tasks go out in fixed chunks of
-CHUNK and are reduced in task order, so output bytes do not depend on the
-worker count.  The ids sample:L=..:q=..:frame=.., varconv:L=..:q=..,
-mixed:L=..:q=..:t=.., pe:L=..:q=.., {model}:L=.. and selfavg:{model}:L=..
-never change.  Degenerate inputs raise ConfigError up front, and a
-statistic that means nothing (fewer than two samples, a one-state sector)
-is None, never NaN.
+SummaryStats and a summary dict.  One pool per run: a driver hands every
+job of the run (one per sector, angle or size) to a single `_dispatch`
+call, whose chunks share one worker pool.  Task i of an experiment owns
+the stream SeedPolicy(seed).stream(experiment id, i), tasks go out in
+fixed chunks of CHUNK and are reduced in task order, so output bytes do
+not depend on the worker count.  The ids sample:L=..:q=..:frame=..,
+varconv:L=..:q=.., mixed:L=..:q=..:t=.., pe:L=..:q=.., {model}:L=.. and
+selfavg:{model}:L=.. never change.  Degenerate inputs raise ConfigError up
+front, and a statistic that means nothing (fewer than two samples, a
+one-state sector) is None, never NaN.
 """
 
 from __future__ import annotations
@@ -78,11 +80,14 @@ _BLOCK_DIM_CAP = 2 ** 14  # the largest block any builder ever accepted
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: explicit flag > SECTORMAGIC_THREADS > cpu count.  A
-    count below 1 from either source is refused."""
+    """Worker count: explicit flag > SECTORMAGIC_THREADS > the CPUs this
+    process may run on (its affinity mask, else the cpu count).  A count
+    below 1 from either source is refused."""
     if flag is None:
         env = os.environ.get("SECTORMAGIC_THREADS")
         if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         try:
             flag = int(env)
@@ -140,23 +145,32 @@ def _parallel_chunks(worker, arglist, threads: int):
         return list(pool.map(worker, arglist))
 
 
-def _dispatch(worker, exp_id: str, tasks: int, seed: int, threads: int,
-              *params):
-    """The one task dispatcher: per-chunk results of worker, in task order.
+def _dispatch(worker, jobs, seed: int, threads: int):
+    """The one task dispatcher, one pool per run: per job, the per-chunk
+    results of worker in task order.
 
-    Task i of exp_id owns the stream keyed by SeedPolicy(seed) on
-    (exp_id, i).  Tasks go out in fixed ranges of CHUNK; each worker call
-    gets the stream keys of one range followed by the shared params.
+    Each job is (exp_id, tasks, *params).  Task i of exp_id owns the stream
+    keyed by SeedPolicy(seed) on (exp_id, i).  Every job's tasks go out in
+    fixed ranges of CHUNK; each worker call gets the stream keys of one
+    range followed by its job's params.  The chunks of all jobs share one
+    worker pool, and every job is checked before any fork.
     """
-    if tasks < 1:
-        raise ConfigError(f"need at least one sample or realization, "
-                          f"got {tasks}")
+    for _, tasks, *_ in jobs:
+        if tasks < 1:
+            raise ConfigError(f"need at least one sample or realization, "
+                              f"got {tasks}")
     threads = resolve_threads(threads)
     policy = SeedPolicy(seed)
-    arglist = [([policy.child_key(exp_id, i)
-                 for i in range(lo, min(lo + CHUNK, tasks))],) + params
-               for lo in range(0, tasks, CHUNK)]
-    return _parallel_chunks(worker, arglist, threads)
+    arglist, bounds = [], []
+    for exp_id, tasks, *params in jobs:
+        start = len(arglist)
+        arglist += [([policy.child_key(exp_id, i)
+                      for i in range(lo, min(lo + CHUNK, tasks))],
+                     *params)
+                    for lo in range(0, tasks, CHUNK)]
+        bounds.append((start, len(arglist)))
+    results = _parallel_chunks(worker, arglist, threads)
+    return [results[lo:hi] for lo, hi in bounds]
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +261,18 @@ def _participation(weights, support, probe: int, basis, observables):
     return out
 
 
-def _haar_draws(exp_id, samples, seed, threads, L, q, frame, observables,
-                hist_bins=0):
-    """All rows of `samples` sector-Haar draws in task order, and their
-    pooled histogram."""
-    chunks = _dispatch(_haar_chunk, exp_id, samples, seed, threads,
-                       L, q, frame, observables, hist_bins)
-    rows = np.concatenate([vals for vals, _ in chunks])
-    hist = sum(h for _, h in chunks) if hist_bins else None
-    return rows, hist
+def _haar_draws(jobs, seed, threads, L, observables, hist_bins=0):
+    """Per (exp_id, samples, q, frame) job in jobs: all rows of its
+    sector-Haar draws at size L in task order, and their pooled histogram
+    (None without bins)."""
+    out = []
+    for chunks in _dispatch(_haar_chunk, [
+            (exp_id, samples, L, q, frame, observables, hist_bins)
+            for exp_id, samples, q, frame in jobs], seed, threads):
+        rows = np.concatenate([vals for vals, _ in chunks])
+        hist = sum(h for _, h in chunks) if hist_bins else None
+        out.append((rows, hist))
+    return out
 
 
 _BUILDERS = {
@@ -319,12 +336,12 @@ def run_ensemble_experiment(L, qs, samples, frame="z", seed=0, threads=None,
     qs = list(qs)
     _budget_check(L, qs, allow_large)
 
+    draws = _haar_draws(
+        [(f"sample:L={L}:q={q}:frame={frame}", samples, q, frame)
+         for q in qs], seed, threads, L, _SAMPLE_OBS, histogram_bins)
     records = []
     sectors = {}
-    for q in qs:
-        rows, hist = _haar_draws(f"sample:L={L}:q={q}:frame={frame}", samples,
-                                 seed, threads, L, q, frame,
-                                 _SAMPLE_OBS, histogram_bins)
+    for q, (rows, hist) in zip(qs, draws):
         stats = {obs: SummaryStats() for obs in _SAMPLE_OBS}
         for task, row in enumerate(rows):
             for obs, value in zip(_SAMPLE_OBS, row):
@@ -376,11 +393,11 @@ def run_variance_convergence(L, qs, samples, seed=0, threads=None,
         raise ConfigError("checkpoints must be >= 2")
     marks = set(checkpoints)
 
+    draws = _haar_draws([(f"varconv:L={L}:q={q}", samples, q, "z")
+                         for q in qs], seed, threads, L, ("xi2",))
     records = []
     sectors = {}
-    for q in qs:
-        xi2s, _ = _haar_draws(f"varconv:L={L}:q={q}", samples, seed, threads,
-                              L, q, "z", ("xi2",))
+    for q, (xi2s, _) in zip(qs, draws):
         d = sector_dimension(L, q)
         exact_mean = float(mean_sp2(L, q))
         exact_var = float(variance_sp2(L, q))
@@ -431,13 +448,14 @@ def run_mixed_charge(L, q, thetas, samples, seed=0, phi=0.0, threads=None,
     thetas = [float(t) for t in thetas]
     d = sector_dimension(L, q)
 
+    directions = [Direction.from_angles(theta, phi) for theta in thetas]
+    draws = _haar_draws([(f"mixed:L={L}:q={q}:t={ti}", samples, q, direction)
+                         for ti, direction in enumerate(directions)],
+                        seed, threads, L, ("xi2", "m2"))
     records = []
     sweep = []
     task = 0
-    for ti, theta in enumerate(thetas):
-        direction = Direction.from_angles(theta, phi)
-        rows, _ = _haar_draws(f"mixed:L={L}:q={q}:t={ti}", samples, seed,
-                              threads, L, q, direction, ("xi2", "m2"))
+    for theta, direction, (rows, _) in zip(thetas, directions, draws):
         analytic = mean_sp2_tilted(L, q, direction)
         stats = SummaryStats()
         for xi2, m2 in rows:
@@ -494,8 +512,9 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
     _size_check([L], qs, L_RANGE[model], _BLOCK_DIM_CAP, model)
     params = tuple(sorted((couplings or {}).items()))
 
-    chunks = _dispatch(_disorder_chunk, f"{model}:L={L}", realizations, seed,
-                       threads, model, L, tuple(qs), params, window, fraction)
+    (chunks,) = _dispatch(_disorder_chunk, [
+        (f"{model}:L={L}", realizations, model, L, tuple(qs), params, window,
+         fraction)], seed, threads)
 
     records = []
     pooled = {q: {"m2": SummaryStats(), "gap": SummaryStats(),
@@ -564,12 +583,12 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
                 f"q={q} sector (dimension {d})")
     params = tuple(sorted((couplings or {}).items()))
 
+    per_size = _dispatch(_disorder_chunk, [
+        (f"selfavg:{model}:L={L}", realizations, model, L, (q,), params, None,
+         fraction) for L in Ls], seed, threads)
     records = []
     sizes = []
-    for L in Ls:
-        chunks = _dispatch(_disorder_chunk, f"selfavg:{model}:L={L}",
-                           realizations, seed, threads, model, L, (q,),
-                           params, None, fraction)
+    for L, chunks in zip(Ls, per_size):
         stats = SummaryStats()
         for r, (cell,) in enumerate(row for chunk in chunks for row in chunk):
             acc = 0.0
@@ -667,8 +686,8 @@ def run_pe_check(L, q, samples, seed=0, threads=None, allow_large=False):
     the exact Dirichlet moments and the one-component Porter-Thomas law."""
     _budget_check(L, [q], allow_large)
     d = sector_dimension(L, q)
-    rows, _ = _haar_draws(f"pe:L={L}:q={q}", samples, seed, threads, L, q,
-                          "z", _PE_OBS)
+    ((rows, _),) = _haar_draws([(f"pe:L={L}:q={q}", samples, q, "z")],
+                               seed, threads, L, _PE_OBS)
 
     records = []
     ipr_stats = SummaryStats()

@@ -210,6 +210,15 @@ def test_resolve_threads(monkeypatch):
             resolve_threads()
     monkeypatch.delenv("SECTORMAGIC_THREADS")
     assert resolve_threads() >= 1
+    # the default counts the CPUs this process may run on, not the machine's
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert resolve_threads() == 1
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    assert resolve_threads() == 2
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert resolve_threads() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +269,58 @@ def test_pe_check_worker_count_invariance():
         out.append((render_csv(records),
                     json.dumps(summary, sort_keys=True)))
     assert out[0] == out[1]
+
+
+def _csv_and_summary(out):
+    records, summary = out
+    return render_csv(records), json.dumps(summary, sort_keys=True)
+
+
+@pytest.mark.parametrize("run", [
+    # 70 samples: a full and a short chunk per angle
+    lambda t: run_mixed_charge(4, 0, [0.3, 0.7, 1.1], 70, seed=3, threads=t),
+    lambda t: run_variance_convergence(4, [0, 2], 130, seed=5, threads=t),
+    lambda t: experiments.run_self_averaging("csyk", [4, 6, 8], 5, seed=2,
+                                             threads=t),
+    lambda t: experiments.run_disorder_sweep("csyk", 4, qs=[0],
+                                             realizations=65, seed=4,
+                                             threads=t, fraction=0.5),
+], ids=["mixed", "variance-convergence", "self-averaging", "csyk"])
+def test_multi_job_worker_count_invariance(run):
+    """Every multi-job driver gives byte-identical records and summary at
+    one and three workers."""
+    assert _csv_and_summary(run(1)) == _csv_and_summary(run(3))
+
+
+def test_one_pool_per_run(monkeypatch):
+    """All jobs of a run share one process pool; a one-chunk run forks
+    none, and a run with no tasks is refused before any pool exists."""
+    made = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    runs = [
+        lambda: run_ensemble_experiment(4, [0, 2, 4], 10, seed=1, threads=2,
+                                        histogram_bins=0),
+        lambda: run_mixed_charge(4, 0, [0.3, 0.7, 1.1], 10, seed=1,
+                                 threads=2),
+        lambda: experiments.run_self_averaging("csyk", [4, 6, 8], 2, seed=1,
+                                               threads=2),
+    ]
+    for run in runs:
+        made.clear()
+        run()
+        assert len(made) == 1
+    made.clear()
+    run_pe_check(4, 0, 10, seed=1, threads=2)
+    assert made == []
+    with pytest.raises(ConfigError):
+        run_ensemble_experiment(4, [0, 2], 0, threads=2)
+    assert made == []
 
 
 def test_variance_convergence_checkpoints():
