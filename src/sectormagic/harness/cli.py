@@ -1,10 +1,12 @@
 """Command line for the sector-magic laboratory.
 
 Every subcommand is one entry of TABLE: the keys it reads and the driver
-it runs.  A key is both a flag and a config-file key, read by one parser
-from either source.  The argparse subcommands and the config-file checks
-are generated from the table, and `resolve` gives the one effective dict a
-run reads (table default < config file < flag).
+it runs.  A key is a flag, a config-file key and the driver's keyword of
+the same name; one parser reads it from either source.  The argparse
+subcommands and the config-file checks are generated from the table.
+`resolve` gives the one effective dict a run reads (table default < config
+file < flag), and the driver is called with every value in it but out and
+format.
 
 Exit codes: 0 success, 2 configuration / usage error, 3 numerical
 contract violation.
@@ -13,6 +15,7 @@ contract violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -53,12 +56,13 @@ class Key(NamedTuple):
 
 
 class Experiment(NamedTuple):
-    """One subcommand: its keys and its driver (effective dict -> result).
-    band = (key, value) is set when neither window nor fraction is given."""
+    """One subcommand: its keys and its driver, called with each key but
+    out and format as the keyword of the same name.  band = (key, value) is
+    set when neither window nor fraction is given."""
 
     help: str
     keys: tuple
-    run: Callable[[dict], Any] | None
+    run: Callable[..., Any] | None
     band: tuple = ()
 
 
@@ -131,23 +135,23 @@ ANALYTIC_SIZE = SIZE._replace(default=REQUIRED)
 ANALYTIC_CHARGE = CHARGE._replace(default=REQUIRED)
 
 
-def _analytic_mean(v: dict) -> dict:
-    mean = mean_sp2(v["L"], v["q"])
+def _analytic_mean(L: int, q: int) -> dict:
+    mean = mean_sp2(L, q)
     return {
-        "L": v["L"], "q": v["q"],
-        "dimension": sector_dimension(v["L"], v["q"]),
+        "L": L, "q": q,
+        "dimension": sector_dimension(L, q),
         "mean_xi2": str(mean),
         "mean_xi2_float": float(mean),
-        "m2_mean_bound": m2_mean_bound(v["L"], v["q"]),
+        "m2_mean_bound": m2_mean_bound(L, q),
     }
 
 
 # the fixed "k2_coefficient" and "xi_variant" strings record which reading
 # of the printed formulas the payloads were computed with
-def _analytic_variance(v: dict) -> dict:
-    mom = analytic_moments(v["L"], v["q"])
+def _analytic_variance(L: int, q: int) -> dict:
+    mom = analytic_moments(L, q)
     return {
-        "L": v["L"], "q": v["q"],
+        "L": L, "q": q,
         "k2_coefficient": "sector-dimension",
         "mean_xi2": str(mom.mean),
         "mean_xi2_float": float(mom.mean),
@@ -155,12 +159,12 @@ def _analytic_variance(v: dict) -> dict:
         "second_moment_xi2_float": float(mom.second_moment),
         "variance_xi2": str(mom.variance),
         "variance_xi2_float": float(mom.variance),
-        "levy_variance_bound": levy_variance_bound(v["L"], v["q"]),
+        "levy_variance_bound": levy_variance_bound(L, q),
     }
 
 
-def _analytic_asymptotic(v: dict) -> dict:
-    pred = asymptotic_prediction(v["s"])
+def _analytic_asymptotic(s: float) -> dict:
+    pred = asymptotic_prediction(s)
     return {
         "s": pred.s, "z": pred.z, "F_star": pred.F_star,
         "xi": pred.xi, "m": pred.m, "g": pred.g,
@@ -168,13 +172,13 @@ def _analytic_asymptotic(v: dict) -> dict:
     }
 
 
-def _analytic_tilted(v: dict) -> dict:
-    direction = Direction.from_angles(v["theta"], v["phi"])
+def _analytic_tilted(L: int, q: int, theta: float, phi: float) -> dict:
+    direction = Direction.from_angles(theta, phi)
     return {
-        "L": v["L"], "q": v["q"],
-        "theta": v["theta"], "phi": v["phi"],
-        "mean_xi2": mean_sp2_tilted(v["L"], v["q"], direction),
-        "m2_mean_bound": tilted_m2_bound(v["L"], v["q"], direction),
+        "L": L, "q": q,
+        "theta": theta, "phi": phi,
+        "mean_xi2": mean_sp2_tilted(L, q, direction),
+        "m2_mean_bound": tilted_m2_bound(L, q, direction),
         "asymptotic_q0_offset": tilted_asymptotic_q0(direction),
     }
 
@@ -182,16 +186,11 @@ def _analytic_tilted(v: dict) -> dict:
 def _sweep(model: str, realizations: int, band: tuple, charges=(CHARGES,),
            couplings=()) -> Experiment:
     """Entry of one Hamiltonian family's disorder sweep."""
-    def run(v):
-        return run_disorder_sweep(
-            model, v["L"], qs=v.get("q"), realizations=v["realizations"],
-            seed=v["seed"], threads=v["threads"], window=v["window"],
-            fraction=v["fraction"],
-            couplings={k.name: v[k.name] for k in couplings} or None)
     keys = ((SIZE,) + charges
             + (REALIZATIONS._replace(default=realizations), WINDOW, FRACTION)
             + couplings + IO)
-    return Experiment(f"{model} disorder sweep", keys, run, band)
+    return Experiment(f"{model} disorder sweep", keys,
+                      functools.partial(run_disorder_sweep, model), band)
 
 
 #: subcommand -> entry; "analytic <what>" nests under `analytic`.  Entries
@@ -219,20 +218,14 @@ TABLE = {
          Key("histogram_bins", _at_least(0), 200,
              "bins of the Pauli-spectrum histogram (0: none)"),
          ALLOW_LARGE) + IO,
-        lambda v: run_ensemble_experiment(
-            v["L"], v["q"], v["samples"], frame=v["frame"], seed=v["seed"],
-            threads=v["threads"], histogram_bins=v["histogram_bins"],
-            allow_large=v["allow_large"])),
+        run_ensemble_experiment),
     "variance-convergence": Experiment(
         "running moments vs exact values",
         (SIZE, CHARGES, SAMPLES,
          Key("checkpoints", int, (), "sample counts of the running moments "
              "(default: logarithmic)", many=True),
          ALLOW_LARGE) + IO,
-        lambda v: run_variance_convergence(
-            v["L"], v["q"], v["samples"], seed=v["seed"],
-            threads=v["threads"], checkpoints=v["checkpoints"],
-            allow_large=v["allow_large"])),
+        run_variance_convergence),
     # xxz and mfim are clean models: every realization is identical
     "csyk": _sweep("csyk", 100, ("fraction", 0.1)),
     "xxz": _sweep("xxz", 1, ("window", 0.25), couplings=XXZ_COUPLINGS),
@@ -241,30 +234,22 @@ TABLE = {
     "mixed": Experiment(
         "tilted-axis theta sweep",
         (SIZE, CHARGE, THETAS, PHI, SAMPLES, ALLOW_LARGE) + IO,
-        lambda v: run_mixed_charge(
-            v["L"], v["q"], v["theta"], v["samples"], seed=v["seed"],
-            phi=v["phi"], threads=v["threads"],
-            allow_large=v["allow_large"])),
+        run_mixed_charge),
     "collapse": Experiment(
         "exact vs asymptotic residuals",
         (SIZES, Key("s_values", _density, (0.0, 0.25, 0.5),
                     "charge densities in [0, 1)", many=True, flag="--s"),
          SEED, OUT, FORMAT),
-        lambda v: run_asymptotic_collapse(v["L_values"], v["s_values"],
-                                          seed=v["seed"])),
+        run_asymptotic_collapse),
     "self-averaging": Experiment(
         "disorder fluctuations vs system size",
         (SIZES, REALIZATIONS._replace(default=50),
          FRACTION._replace(default=0.1)) + IO,
-        lambda v: run_self_averaging(
-            Ls=v["L_values"], realizations=v["realizations"], seed=v["seed"],
-            threads=v["threads"], fraction=v["fraction"])),
+        run_self_averaging),
     "pe-check": Experiment(
         "participation-entropy statistics",
         (SIZE, CHARGE, SAMPLES, ALLOW_LARGE) + IO,
-        lambda v: run_pe_check(
-            v["L"], v["q"], v["samples"], seed=v["seed"],
-            threads=v["threads"], allow_large=v["allow_large"])),
+        run_pe_check),
     "run": Experiment("run the experiment named in --config (default sample)",
                       IO, None),
 }
@@ -385,7 +370,9 @@ def main(argv=None) -> int:
             if entry is None or entry.run is None or OUT not in entry.keys:
                 raise ConfigError(f"unknown experiment {command!r}")
         values = resolve(command, file, flags)
-        _emit(TABLE[command].run(values), values, sys.stdout)
+        params = {name: value for name, value in values.items()
+                  if name not in ("out", "format")}
+        _emit(TABLE[command].run(**params), values, sys.stdout)
         return 0
     except (ConfigError, SectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)

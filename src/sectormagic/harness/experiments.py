@@ -10,13 +10,14 @@ the stream SeedPolicy(seed).stream(experiment id, i), tasks go out in
 fixed chunks of CHUNK and are reduced in task order, so output bytes do
 not depend on the worker count.  The ids sample:L=..:q=..:frame=..,
 varconv:L=..:q=.., mixed:L=..:q=..:t=.., pe:L=..:q=.., {model}:L=.. and
-selfavg:{model}:L=.. never change.  Degenerate inputs raise ConfigError up
+selfavg:csyk:L=.. never change.  Degenerate inputs raise ConfigError up
 front, and a statistic that means nothing (fewer than two samples, a
 one-state sector) is None, never NaN.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import multiprocessing
 import os
@@ -282,6 +283,10 @@ _BUILDERS = {
 }
 #: models whose builders ignore the task stream
 _CLEAN_MODELS = frozenset({"xxz", "mfim"})
+#: model -> the couplings its builder takes (csyk draws its own per task)
+_COUPLINGS = {"csyk": (), **{
+    model: tuple(inspect.signature(build).parameters)[1:]
+    for model, build in (("xxz", build_xxz_nnn), ("mfim", build_mfim))}}
 
 
 def _disorder_chunk(args):
@@ -328,12 +333,12 @@ def _disorder_chunk(args):
 _SAMPLE_OBS = ("xi2", "m2", "s2", "shannon_pe")
 
 
-def run_ensemble_experiment(L, qs, samples, frame="z", seed=0, threads=None,
+def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
                             histogram_bins=200, allow_large=False):
-    """Sample the charge-constrained Haar ensemble and stream stabilizer
-    purity / entropy and participation entropies per sample, with the exact
-    ensemble moments attached for comparison."""
-    qs = list(qs)
+    """Sample the charge-constrained Haar ensemble of each sector in q and
+    stream stabilizer purity / entropy and participation entropies per
+    sample, with the exact ensemble moments attached for comparison."""
+    qs = list(q)
     _budget_check(L, qs, allow_large)
 
     draws = _haar_draws(
@@ -379,18 +384,20 @@ def run_ensemble_experiment(L, qs, samples, frame="z", seed=0, threads=None,
     return records, summary
 
 
-def run_variance_convergence(L, qs, samples, seed=0, threads=None,
+def run_variance_convergence(L, q, samples, seed=0, threads=None,
                              checkpoints=None, allow_large=False):
-    """Running mean/variance of Xi_2 against the exact sector moments at
-    logarithmic checkpoints."""
-    qs = list(qs)
+    """Running mean/variance of Xi_2 against the exact moments of each
+    sector in q at checkpoints up to samples (default logarithmic)."""
+    qs = list(q)
     _budget_check(L, qs, allow_large)
     if not checkpoints:
         checkpoints = [c for c in (100, 300, 1000, 3000, 10000, 30000, 100000)
                        if c < samples]
     checkpoints = sorted(set(int(c) for c in checkpoints) | {samples})
-    if any(c < 2 for c in checkpoints):
+    if checkpoints[0] < 2:
         raise ConfigError("checkpoints must be >= 2")
+    if checkpoints[-1] > samples:
+        raise ConfigError(f"checkpoints must be <= samples = {samples}")
     marks = set(checkpoints)
 
     draws = _haar_draws([(f"varconv:L={L}:q={q}", samples, q, "z")
@@ -440,12 +447,13 @@ def run_variance_convergence(L, qs, samples, seed=0, threads=None,
 # tilted-frame sweep
 # ---------------------------------------------------------------------------
 
-def run_mixed_charge(L, q, thetas, samples, seed=0, phi=0.0, threads=None,
+def run_mixed_charge(L, q, theta, samples, seed=0, phi=0.0, threads=None,
                      allow_large=False):
-    """Constrain the charge along a tilted axis n(theta, phi) and compare the
-    sampled mean Xi_2 against the extended-precision tilted prediction."""
+    """Constrain the charge along a tilted axis n(theta, phi) for each theta
+    and compare the sampled mean Xi_2 against the extended-precision tilted
+    prediction."""
     _budget_check(L, [q], allow_large)
-    thetas = [float(t) for t in thetas]
+    thetas = [float(t) for t in theta]
     d = sector_dimension(L, q)
 
     directions = [Direction.from_angles(theta, phi) for theta in thetas]
@@ -488,14 +496,15 @@ def run_mixed_charge(L, q, thetas, samples, seed=0, phi=0.0, threads=None,
 # disorder ensembles
 # ---------------------------------------------------------------------------
 
-def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
-                       threads=None, window=None, fraction=None,
-                       couplings=None):
+def run_disorder_sweep(model, L, q=None, realizations=100, seed=0,
+                       threads=None, window=None, fraction=None, **couplings):
     """Mid-spectrum stabilizer entropy across disorder realizations of one
-    Hamiltonian family, pooled per charge sector.
+    Hamiltonian family, pooled per charge sector in q.
 
-    For sectorless models (mfim) pass qs=None to use the full spectrum.
-    Exactly one of window / fraction selects the mid-spectrum band.
+    For sectorless models (mfim) leave q None to use the full spectrum.
+    Exactly one of window / fraction selects the mid-spectrum band.  The
+    keyword couplings go to the model's builder (csyk takes none); a name
+    the builder does not take is refused before any work.
 
     xxz and mfim are clean models: their builders ignore the task stream,
     so `realizations` N pools N identical copies of one spectrum and the
@@ -506,11 +515,14 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
     if (window is None) == (fraction is None):
         raise ConfigError("give exactly one of window / fraction")
     _fraction_check(fraction)
-    qs = [None] if qs is None else list(qs)
+    unknown = sorted(set(couplings) - set(_COUPLINGS[model]))
+    if unknown:
+        raise ConfigError(f"{model} takes no coupling {', '.join(unknown)}")
+    qs = [None] if q is None else list(q)
     if model == "mfim" and qs != [None]:
-        raise ConfigError("mfim has no conserved charge; leave qs unset")
+        raise ConfigError("mfim has no conserved charge; leave q unset")
     _size_check([L], qs, L_RANGE[model], _BLOCK_DIM_CAP, model)
-    params = tuple(sorted((couplings or {}).items()))
+    params = tuple(sorted(couplings.items()))
 
     (chunks,) = _dispatch(_disorder_chunk, [
         (f"{model}:L={L}", realizations, model, L, tuple(qs), params, window,
@@ -564,31 +576,28 @@ def run_disorder_sweep(model, L, qs=None, realizations=100, seed=0,
     return records, summary
 
 
-def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
-                       threads=None, fraction=0.1, couplings=None):
-    """Relative disorder fluctuation of the mean mid-spectrum m2 per system
-    size; self-averaging shows up as a decreasing sequence."""
-    if model not in _BUILDERS:
-        raise ConfigError(f"unknown model {model!r}")
-    if model == "mfim":
-        raise ConfigError("self-averaging driver needs a charge sector")
+def run_self_averaging(L_values=(6, 8, 10), realizations=50, seed=0,
+                       threads=None, fraction=0.1):
+    """Relative disorder fluctuation of the mean mid-spectrum m2 of csyk per
+    system size; self-averaging shows up as a decreasing sequence.  Only
+    csyk: every realization of a clean model (xxz, mfim) is the same, so a
+    fluctuation across them means nothing."""
     _fraction_check(fraction)
     q = 0  # half filling / zero magnetization
-    _size_check(Ls, [q], L_RANGE[model], _BLOCK_DIM_CAP, model)
-    for L in Ls:
+    _size_check(L_values, [q], L_RANGE["csyk"], _BLOCK_DIM_CAP, "csyk")
+    for L in L_values:
         d = sector_dimension(L, q)
         if round(fraction * d) == 0:
             raise ConfigError(
                 f"fraction {fraction} keeps no eigenstate of the L={L}, "
                 f"q={q} sector (dimension {d})")
-    params = tuple(sorted((couplings or {}).items()))
 
     per_size = _dispatch(_disorder_chunk, [
-        (f"selfavg:{model}:L={L}", realizations, model, L, (q,), params, None,
-         fraction) for L in Ls], seed, threads)
+        (f"selfavg:csyk:L={L}", realizations, "csyk", L, (q,), (), None,
+         fraction) for L in L_values], seed, threads)
     records = []
     sizes = []
-    for L, chunks in zip(Ls, per_size):
+    for L, chunks in zip(L_values, per_size):
         stats = SummaryStats()
         for r, (cell,) in enumerate(row for chunk in chunks for row in chunk):
             acc = 0.0
@@ -611,7 +620,7 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
     summary = {
         "experiment": "self-averaging",
         "seed": seed,
-        "model": model,
+        "model": "csyk",
         "realizations": realizations,
         "fraction": fraction,
         "sizes": sizes,
@@ -626,7 +635,7 @@ def run_self_averaging(model="csyk", Ls=(6, 8, 10), realizations=50, seed=0,
 # exact-vs-asymptotic collapse
 # ---------------------------------------------------------------------------
 
-def run_asymptotic_collapse(Ls, s_values, seed=0):
+def run_asymptotic_collapse(L_values, s_values, seed=0):
     """Exact -log2 E[Xi_2] against the large-L prediction L*m(s) + g(s).
 
     No sampling: the exact sector mean is evaluated in rational arithmetic
@@ -639,7 +648,7 @@ def run_asymptotic_collapse(Ls, s_values, seed=0):
     for s in s_values:
         pred = asymptotic_prediction(s)
         rows = []
-        for L in Ls:
+        for L in L_values:
             q = nearest_sector_charge(L, s)
             exact = m2_mean_bound(L, q)
             asym = L * pred.m + pred.g
@@ -667,7 +676,7 @@ def run_asymptotic_collapse(Ls, s_values, seed=0):
         "experiment": "collapse",
         "seed": seed,
         "xi_variant": "hessian",
-        "L_values": list(Ls),
+        "L_values": list(L_values),
         "s_values": [float(s) for s in s_values],
         "per_s": per_s,
     }

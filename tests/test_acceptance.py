@@ -220,7 +220,7 @@ def test_quartic_fermion_benchmark(capsys):
     sector block vanishes identically."""
     def body():
         _, summary = run_disorder_sweep(
-            "csyk", 8, qs=[0, 2, -2, -6], realizations=100, fraction=0.1,
+            "csyk", 8, q=[0, 2, -2, -6], realizations=100, fraction=0.1,
             seed=7, threads=1)
         sec0 = summary["sectors"]["0"]
         assert abs(sec0["m2_deficit"]) <= 0.05, (
@@ -255,8 +255,8 @@ def test_conserving_chain_midspectrum_offset(capsys):
     """AC-10: stated criterion for the conserving chain, asserted as given."""
     def body():
         _, summary = run_disorder_sweep(
-            "xxz", 10, qs=[0], realizations=1, window=0.25, seed=0, threads=1,
-            couplings={"J1": 1.0, "delta": 0.5, "J2": 0.6, "h_b": 0.25})
+            "xxz", 10, q=[0], realizations=1, window=0.25, seed=0, threads=1,
+            J1=1.0, delta=0.5, J2=0.6, h_b=0.25)
         deficit = summary["sectors"]["0"]["m2_deficit"]
         assert abs(deficit - 0.2) <= 0.1, (
             f"mid-spectrum deficit {deficit:.4f} outside 0.2 +- 0.1")

@@ -313,7 +313,7 @@ def test_adjacent_gap_ratio_hand_values():
 def test_csyk_level_statistics_are_unitary_class():
     """Complex SYK without particle-hole structure: <r> at the GUE value
     0.600, well separated from GOE (0.531) and Poisson (0.386)."""
-    _, summ = run_disorder_sweep("csyk", 8, qs=[0, 2], realizations=40,
+    _, summ = run_disorder_sweep("csyk", 8, q=[0, 2], realizations=40,
                                  seed=7, threads=1, fraction=0.1)
     for q in ("0", "2"):
         r = summ["sectors"][q]["gap_ratio"]["mean"]
@@ -338,8 +338,8 @@ def test_conserving_chain_entropy_deficit_is_large_and_size_stable():
     cpl = dict(J1=1.0, delta=0.5, J2=0.6, h_b=0.25, h_x=0.0)
     deficits = {}
     for L in (8, 10):
-        _, summ = run_disorder_sweep("xxz", L, qs=[0], realizations=1, seed=1,
-                                     threads=1, window=0.25, couplings=cpl)
+        _, summ = run_disorder_sweep("xxz", L, q=[0], realizations=1, seed=1,
+                                     threads=1, window=0.25, **cpl)
         deficits[L] = summ["sectors"]["0"]["m2_deficit"]
     assert 0.7 < deficits[8] < 1.0
     assert 0.7 < deficits[10] < 1.0
@@ -351,8 +351,8 @@ def test_nonconserving_chain_sits_fixed_offset_above_sector_prediction():
     entropy lands about 0.2 bits above the zero-sector prediction (and so
     below the full-Haar value by roughly the sector gap)."""
     _, summ = run_disorder_sweep(
-        "mfim", 8, qs=None, realizations=1, seed=1, threads=1, window=0.25,
-        couplings=dict(g=1.1, h=0.35, h1=0.25, hL=-0.25))
+        "mfim", 8, q=None, realizations=1, seed=1, threads=1, window=0.25,
+        g=1.1, h=0.35, h1=0.25, hL=-0.25)
     s = summ["sectors"]["all"]
     gap = s["m2"]["mean"] - m2_mean_bound(8, 0)
     assert 0.1 < gap < 0.3, gap

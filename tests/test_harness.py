@@ -1,6 +1,9 @@
 import hashlib
+import inspect
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from sectormagic.harness import (
     write_summary,
 )
 from sectormagic.harness import experiments
-from sectormagic.harness.cli import main, resolve
+from sectormagic.harness.cli import TABLE, build_parser, main, resolve
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +283,9 @@ def _csv_and_summary(out):
     # 70 samples: a full and a short chunk per angle
     lambda t: run_mixed_charge(4, 0, [0.3, 0.7, 1.1], 70, seed=3, threads=t),
     lambda t: run_variance_convergence(4, [0, 2], 130, seed=5, threads=t),
-    lambda t: experiments.run_self_averaging("csyk", [4, 6, 8], 5, seed=2,
+    lambda t: experiments.run_self_averaging([4, 6, 8], 5, seed=2,
                                              threads=t),
-    lambda t: experiments.run_disorder_sweep("csyk", 4, qs=[0],
+    lambda t: experiments.run_disorder_sweep("csyk", 4, q=[0],
                                              realizations=65, seed=4,
                                              threads=t, fraction=0.5),
 ], ids=["mixed", "variance-convergence", "self-averaging", "csyk"])
@@ -308,7 +311,7 @@ def test_one_pool_per_run(monkeypatch):
                                         histogram_bins=0),
         lambda: run_mixed_charge(4, 0, [0.3, 0.7, 1.1], 10, seed=1,
                                  threads=2),
-        lambda: experiments.run_self_averaging("csyk", [4, 6, 8], 2, seed=1,
+        lambda: experiments.run_self_averaging([4, 6, 8], 2, seed=1,
                                                threads=2),
     ]
     for run in runs:
@@ -573,7 +576,10 @@ def test_cli_degenerate_inputs_refused_up_front(capsys):
                  ["pe-check", "--L", "4", "--samples", "-1"],
                  ["csyk", "--L", "4", "--realizations", "0"],
                  ["self-averaging", "--L", "4", "--realizations", "0"],
-                 ["self-averaging", "--L", "4", "--fraction", "0"]):
+                 ["self-averaging", "--L", "4", "--fraction", "0"],
+                 # a checkpoint the run never reaches
+                 ["variance-convergence", "--L", "4", "--samples", "100",
+                  "--checkpoints", "500"]):
         _refused(capsys, argv + ["--seed", "0", "--threads", "1"])
     # a band fraction outside [0, 1]: no traceback, no silently shifted band
     for argv in (["self-averaging", "--L", "4", "--realizations", "2",
@@ -626,7 +632,7 @@ def test_clean_model_is_built_once_per_chunk(monkeypatch):
                              ("csyk", [0], 3)):
         calls.clear()
         records, _ = experiments.run_disorder_sweep(
-            model, 4, qs=qs, realizations=3, threads=1, fraction=0.5)
+            model, 4, q=qs, realizations=3, threads=1, fraction=0.5)
         assert len(calls) == built, model
         per_realization = {}
         for rec in records:
@@ -634,6 +640,53 @@ def test_clean_model_is_built_once_per_chunk(monkeypatch):
         assert len(per_realization) == 3
         if built == 1:
             assert len({tuple(v) for v in per_realization.values()}) == 1
+
+
+def test_disorder_sweep_refuses_couplings_the_builder_does_not_take(
+        monkeypatch):
+    """A coupling the model's builder does not take is refused before any
+    pool exists: csyk takes none, xxz and mfim only their own."""
+    made = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    for model, qs, coupling in (("csyk", [0], "J1"), ("xxz", [0], "g"),
+                                ("mfim", None, "J2")):
+        with pytest.raises(ConfigError, match=f"{model} takes no coupling "
+                                              f"{coupling}"):
+            experiments.run_disorder_sweep(
+                model, 4, q=qs, realizations=130, threads=2, fraction=0.5,
+                **{coupling: 3.0})
+    assert made == []
+
+
+def test_every_table_entry_binds_its_driver_by_key_name():
+    """Each key name is the keyword of its driver: the effective values of
+    every table command, and of every README "Command line" example without
+    --config, bind to the driver's signature.  No driver runs."""
+    argvs = [command.split()
+             + [arg for name, (raw,) in REQUIRED_FLAGS.get(command, {}).items()
+                for arg in ("--" + name, raw)]
+             for command, entry in TABLE.items() if entry.run is not None]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in section.splitlines()
+                if line.startswith("sectormagic ") and "--config" not in line]
+    assert examples
+    for argv in argvs + examples:
+        args = build_parser().parse_args(argv)
+        entry = TABLE[args.command]
+        flags = {key.name: getattr(args, key.name) for key in entry.keys
+                 if getattr(args, key.name) is not None}
+        params = {name: value
+                  for name, value in resolve(args.command, flags=flags).items()
+                  if name not in ("out", "format")}
+        inspect.signature(entry.run).bind(**params)
 
 
 def test_cli_worker_count_below_one_refused(capsys, monkeypatch):
