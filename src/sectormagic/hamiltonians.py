@@ -20,6 +20,7 @@ Qubit 0 is the least significant bit of the basis index.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ __all__ = [
     "Hamiltonian",
     "EigenSystem",
     "L_RANGE",
+    "COUPLINGS",
     "build_csyk",
     "build_xxz_nnn",
     "build_mfim",
@@ -153,6 +155,14 @@ def build_mfim(L: int, g=1.1, h=0.35, h1=0.25, hL=-0.25) -> Hamiltonian:
     """
     _check_L("mfim", L)
     return Hamiltonian("mfim", L, params=dict(g=g, h=h, h1=h1, hL=hL))
+
+
+#: model -> {coupling: default}: the parameters after L of its builder, in
+#: signature order (csyk draws its couplings per realization and takes none)
+COUPLINGS = {"csyk": {}, **{
+    model: {p.name: p.default
+            for p in list(inspect.signature(build).parameters.values())[1:]}
+    for model, build in (("xxz", build_xxz_nnn), ("mfim", build_mfim))}}
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any, Callable, NamedTuple
 
 from ..asymptotics import (_check_density, asymptotic_prediction,
                            tilted_asymptotic_q0)
-from ..hamiltonians import NumericalContractError, build_mfim, build_xxz_nnn
+from ..hamiltonians import COUPLINGS, NumericalContractError
 from ..moments import (SectorError, analytic_moments, levy_variance_bound,
                        m2_mean_bound, mean_sp2, mean_sp2_tilted,
                        tilted_m2_bound)
@@ -95,13 +95,6 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _coupling_keys(build, what: str) -> tuple:
-    """One key per coupling of a chain builder: every parameter after L,
-    with the builder's own default."""
-    params = list(inspect.signature(build).parameters.values())[1:]
-    return tuple(Key(p.name, _finite, p.default, what) for p in params)
-
-
 # keys shared by several experiments
 SIZE = Key("L", _at_least(1), 8, "number of qubits")
 CHARGES = Key("q", int, (0,), "charge sector", many=True)
@@ -129,8 +122,6 @@ FRACTION = Key("fraction", _finite, None,
 THETAS = Key("theta", _finite, REQUIRED, "polar angle of the charge axis",
              many=True)
 PHI = Key("phi", _finite, 0.0, "azimuth of the charge axis")
-XXZ_COUPLINGS = _coupling_keys(build_xxz_nnn, "xxz coupling")
-MFIM_COUPLINGS = _coupling_keys(build_mfim, "mfim field")
 ANALYTIC_SIZE = SIZE._replace(default=REQUIRED)
 ANALYTIC_CHARGE = CHARGE._replace(default=REQUIRED)
 
@@ -164,12 +155,7 @@ def _analytic_variance(L: int, q: int) -> dict:
 
 
 def _analytic_asymptotic(s: float) -> dict:
-    pred = asymptotic_prediction(s)
-    return {
-        "s": pred.s, "z": pred.z, "F_star": pred.F_star,
-        "xi": pred.xi, "m": pred.m, "g": pred.g,
-        "xi_variant": "hessian",
-    }
+    return {**asdict(asymptotic_prediction(s)), "xi_variant": "hessian"}
 
 
 def _analytic_tilted(L: int, q: int, theta: float, phi: float) -> dict:
@@ -184,11 +170,12 @@ def _analytic_tilted(L: int, q: int, theta: float, phi: float) -> dict:
 
 
 def _sweep(model: str, realizations: int, band: tuple, charges=(CHARGES,),
-           couplings=()) -> Experiment:
-    """Entry of one Hamiltonian family's disorder sweep."""
+           coupling_help="") -> Experiment:
+    """Entry of one model's disorder sweep, a key per builder coupling."""
     keys = ((SIZE,) + charges
             + (REALIZATIONS._replace(default=realizations), WINDOW, FRACTION)
-            + couplings + IO)
+            + tuple(Key(name, _finite, default, coupling_help)
+                    for name, default in COUPLINGS[model].items()) + IO)
     return Experiment(f"{model} disorder sweep", keys,
                       functools.partial(run_disorder_sweep, model), band)
 
@@ -228,9 +215,9 @@ TABLE = {
         run_variance_convergence),
     # xxz and mfim are clean models: every realization is identical
     "csyk": _sweep("csyk", 100, ("fraction", 0.1)),
-    "xxz": _sweep("xxz", 1, ("window", 0.25), couplings=XXZ_COUPLINGS),
+    "xxz": _sweep("xxz", 1, ("window", 0.25), coupling_help="xxz coupling"),
     "mfim": _sweep("mfim", 1, ("fraction", 0.1), charges=(),
-                   couplings=MFIM_COUPLINGS),
+                   coupling_help="mfim field"),
     "mixed": Experiment(
         "tilted-axis theta sweep",
         (SIZE, CHARGE, THETAS, PHI, SAMPLES, ALLOW_LARGE) + IO,

@@ -17,7 +17,6 @@ one-state sector) is None, never NaN.
 
 from __future__ import annotations
 
-import inspect
 import math
 import multiprocessing
 import os
@@ -45,6 +44,7 @@ from ..magic import pauli_spectrum
 from ..sampler import constrained_haar_state  # noqa: F401
 from ..magic import shannon_pe  # noqa: F401
 from ..hamiltonians import (
+    COUPLINGS,
     L_RANGE,
     adjacent_gap_ratio,
     build_csyk,
@@ -76,8 +76,14 @@ CHUNK = 64
 
 _L_CAP_DEFAULT = 12
 _L_CAP_LARGE = 14
-_SECTOR_DIM_CAP = 4000
 _BLOCK_DIM_CAP = 2 ** 14  # the largest block any builder ever accepted
+#: peak memory of assembling and diagonalizing a dense block over its own
+#: bytes (5.1-6.2 measured on real and complex blocks, d = 1024-4096)
+_DENSE_COPIES = 7
+try:  # bytes of physical memory; inf where os.sysconf cannot tell
+    _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):
+    _PHYSICAL_MEMORY = math.inf
 
 
 def resolve_threads(flag: int | None = None) -> int:
@@ -99,20 +105,35 @@ def resolve_threads(flag: int | None = None) -> int:
     return int(flag)
 
 
-def _size_check(Ls, qs, L_range, dim_cap: int, what: str):
-    """Refuse, before any work, an L outside L_range, an empty sector and
-    a block above dim_cap states (q None is the full 2^L space)."""
+def _size_check(Ls, qs, L_range, what: str) -> dict:
+    """Refuse, before any work, an L outside L_range and an empty sector;
+    (L, q) -> dimension of every block, q None being the full 2^L space.
+    Sampling needs no dimension cap: its L cap bounds a sector at
+    C(14, 7) = 3432 states."""
     lo, hi = L_range
+    dims = {}
     for L in Ls:
         if not lo <= L <= hi:
             raise ConfigError(f"{what} supports {lo} <= L <= {hi}, got L={L}")
         for q in qs:
-            d = 2 ** L if q is None else sector_dimension(L, q)
+            d = dims[L, q] = 2 ** L if q is None else sector_dimension(L, q)
             if d == 0:
                 raise ConfigError(f"sector (L={L}, q={q}) is empty")
-            if d > dim_cap:
-                raise ConfigError(
-                    f"sector (L={L}, q={q}) has dimension {d} > {dim_cap}")
+    return dims
+
+
+def _block_check(Ls, qs, model: str):
+    """_size_check of a disorder run, then refuse a block above
+    _BLOCK_DIM_CAP states or one too large to diagonalize in physical
+    memory (_DENSE_COPIES times its bytes; csyk blocks are complex)."""
+    per_entry = _DENSE_COPIES * (16 if model == "csyk" else 8)
+    for (L, q), d in _size_check(Ls, qs, L_RANGE[model], model).items():
+        if d > _BLOCK_DIM_CAP:
+            raise ConfigError(
+                f"sector (L={L}, q={q}) has dimension {d} > {_BLOCK_DIM_CAP}")
+        if per_entry * d * d > _PHYSICAL_MEMORY:
+            raise ConfigError(f"sector (L={L}, q={q}) of dimension {d} is "
+                              f"too large to diagonalize in physical memory")
 
 
 def _fraction_check(fraction):
@@ -123,7 +144,7 @@ def _fraction_check(fraction):
 
 def _budget_check(L: int, qs, allow_large: bool):
     cap = _L_CAP_LARGE if allow_large else _L_CAP_DEFAULT
-    _size_check([L], qs, (1, cap), _SECTOR_DIM_CAP,
+    _size_check([L], qs, (1, cap),
                 "sampling" if allow_large else "sampling without allow_large")
 
 
@@ -134,16 +155,6 @@ def _z_score(stats: SummaryStats, exact: float, d: int):
     if stats.count < 2 or d == 1:
         return None
     return (stats.mean - exact) / stats.sem
-
-
-def _parallel_chunks(worker, arglist, threads: int):
-    """Run worker over arglist, preserving order; forks only when useful."""
-    if threads <= 1 or len(arglist) <= 1:
-        return [worker(a) for a in arglist]
-    ctx = multiprocessing.get_context("fork")
-    n = min(threads, len(arglist))
-    with ProcessPoolExecutor(max_workers=n, mp_context=ctx) as pool:
-        return list(pool.map(worker, arglist))
 
 
 def _dispatch(worker, jobs, seed: int, threads: int):
@@ -170,7 +181,13 @@ def _dispatch(worker, jobs, seed: int, threads: int):
                      *params)
                     for lo in range(0, tasks, CHUNK)]
         bounds.append((start, len(arglist)))
-    results = _parallel_chunks(worker, arglist, threads)
+    if threads <= 1 or len(arglist) <= 1:
+        results = [worker(a) for a in arglist]
+    else:
+        with ProcessPoolExecutor(
+                max_workers=min(threads, len(arglist)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(worker, arglist))
     return [results[lo:hi] for lo, hi in bounds]
 
 
@@ -283,10 +300,6 @@ _BUILDERS = {
 }
 #: models whose builders ignore the task stream
 _CLEAN_MODELS = frozenset({"xxz", "mfim"})
-#: model -> the couplings its builder takes (csyk draws its own per task)
-_COUPLINGS = {"csyk": (), **{
-    model: tuple(inspect.signature(build).parameters)[1:]
-    for model, build in (("xxz", build_xxz_nnn), ("mfim", build_mfim))}}
 
 
 def _disorder_chunk(args):
@@ -515,13 +528,13 @@ def run_disorder_sweep(model, L, q=None, realizations=100, seed=0,
     if (window is None) == (fraction is None):
         raise ConfigError("give exactly one of window / fraction")
     _fraction_check(fraction)
-    unknown = sorted(set(couplings) - set(_COUPLINGS[model]))
+    unknown = sorted(set(couplings) - set(COUPLINGS[model]))
     if unknown:
         raise ConfigError(f"{model} takes no coupling {', '.join(unknown)}")
     qs = [None] if q is None else list(q)
     if model == "mfim" and qs != [None]:
         raise ConfigError("mfim has no conserved charge; leave q unset")
-    _size_check([L], qs, L_RANGE[model], _BLOCK_DIM_CAP, model)
+    _block_check([L], qs, model)
     params = tuple(sorted(couplings.items()))
 
     (chunks,) = _dispatch(_disorder_chunk, [
@@ -584,7 +597,7 @@ def run_self_averaging(L_values=(6, 8, 10), realizations=50, seed=0,
     fluctuation across them means nothing."""
     _fraction_check(fraction)
     q = 0  # half filling / zero magnetization
-    _size_check(L_values, [q], L_RANGE["csyk"], _BLOCK_DIM_CAP, "csyk")
+    _block_check(L_values, [q], "csyk")
     for L in L_values:
         d = sector_dimension(L, q)
         if round(fraction * d) == 0:
@@ -611,8 +624,8 @@ def run_self_averaging(L_values=(6, 8, 10), realizations=50, seed=0,
             "L": L,
             "q": q,
             "m2": stats.to_dict(),
-            # one realization has no spread
-            "relative_variance": (None if stats.count < 2
+            # one realization has no spread, a zero mean no relative one
+            "relative_variance": (None if stats.count < 2 or stats.mean == 0
                                   else stats.variance / stats.mean ** 2),
         })
 

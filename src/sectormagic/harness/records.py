@@ -12,7 +12,7 @@ when absent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 #: value column tags
 OBSERVABLES = ("xi2", "m2", "s2", "shannon_pe")
@@ -26,8 +26,6 @@ def format_value(x) -> str:
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)
@@ -56,17 +54,7 @@ class RunRecord:
                 f"{f(self.value)},{f(self.aux1)},{f(self.aux2)}")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "task": self.task,
-            "L": self.L,
-            "q": self.q,
-            "observable": self.observable,
-            "value": self.value,
-            "aux1": self.aux1,
-            "aux2": self.aux2,
-        }
+        return asdict(self)
 
 
 def write_csv(records, path) -> None:

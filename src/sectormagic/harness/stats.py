@@ -40,8 +40,7 @@ class SummaryStats:
 
     @property
     def std(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else math.nan
+        return math.sqrt(self.variance)  # nan stays nan
 
     @property
     def sem(self) -> float:

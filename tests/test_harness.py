@@ -2,7 +2,10 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +439,14 @@ ANALYTIC_STDOUT_SHA256 = {
         "095babd08776bf08471745fc504ca39f3f99a441273ead5454c8e52b8cae5d62",
     "tilted --L 97 --q 5 --theta 0.4 --phi 1.3":
         "e865c2192453a73a4c0152af8510f9fcfa0c3353ed8be403983eaf1317509744",
+    "asymptotic --s 0.0":
+        "bba75393752c1c17a7a89bcc60ad2df84435297d03d803e16403cc2d8f9f1f91",
+    "asymptotic --s 0.25":
+        "9ad2eaf1a23f832c70cd792220a5c39d8120568438c101cc07dc5d89b6d229df",
+    "asymptotic --s 0.5":
+        "c1dacf254fd624faa615022c50a20cde646d71c6bf6839471a44bcd3c2716fbb",
+    "asymptotic --s 0.9":
+        "24cf3f86aa2012edd94298fb1beccb2f79275640fc5ddaa97650bc19e054ba91",
 }
 
 
@@ -530,9 +541,12 @@ def test_cli_jsonl_format(tmp_path, capsys):
         capsys, ["pe-check", "--L", "2", "--q", "0", "--samples", "5",
                  "--seed", "2", "--out", prefix, "--format", "jsonl"])
     assert code == 0
-    lines = (tmp_path / "j.jsonl").read_text().splitlines()
+    text = (tmp_path / "j.jsonl").read_text()
+    lines = text.splitlines()
     assert len(lines) == 10
     assert all(json.loads(line)["L"] == 2 for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2ce5208c9164bf94a6d578e9dc6b3122b903f4e350dad30127298a50a18cd4cf")
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -612,6 +626,49 @@ def test_disorder_block_cap_refused_before_any_build(capsys, monkeypatch):
     err = _refused(capsys, ["self-averaging", "--L", "4", "--L", "6",
                             "--threads", "1"])
     assert "L=6" in err
+
+
+def test_block_above_physical_memory_refused_before_any_build(
+        capsys, monkeypatch):
+    """A block whose assembly and eigendecomposition would not fit in
+    physical memory exits 2 before any build.  csyk blocks are complex: at
+    a memory between the needs of a real and a complex 20-state block, csyk
+    is refused at L = 6, q = 0 where xxz runs."""
+    memory = 12 * experiments._DENSE_COPIES * 20 ** 2
+    built = []
+    monkeypatch.setattr(experiments, "_PHYSICAL_MEMORY", memory)
+    monkeypatch.setattr(experiments, "extract_sector_block",
+                        lambda *args: built.append(args))
+    for argv, block in ((["csyk", "--L", "6", "--q", "0"], "(L=6, q=0)"),
+                        (["self-averaging", "--L", "4", "--L", "6"],
+                         "(L=6, q=0)"),
+                        (["xxz", "--L", "8", "--q", "0"], "(L=8, q=0)"),
+                        (["mfim", "--L", "5"], "(L=5, q=None)")):
+        err = _refused(capsys, argv + ["--threads", "1"])
+        assert f"sector {block} of dimension" in err
+        assert "too large to diagonalize in physical memory" in err
+    assert built == []
+    monkeypatch.undo()
+    monkeypatch.setattr(experiments, "_PHYSICAL_MEMORY", memory)
+    for argv in (["xxz", "--L", "6", "--q", "0"], ["mfim", "--L", "4"]):
+        code, _, _ = run_cli(capsys, argv + ["--threads", "1"])
+        assert code == 0
+
+
+@pytest.mark.parametrize("sysconf", [
+    "del os.sysconf",
+    "os.sysconf = lambda name: (_ for _ in ()).throw(ValueError(name))",
+])
+def test_physical_memory_unknown_skips_the_check(sysconf):
+    """Where os.sysconf or its names are missing, memory bounds nothing."""
+    code = (f"import os; {sysconf}\n"
+            "from sectormagic.harness import experiments\n"
+            "print(experiments._PHYSICAL_MEMORY)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "inf\n"
 
 
 def test_clean_model_is_built_once_per_chunk(monkeypatch):
@@ -825,6 +882,23 @@ def test_cli_single_sample_gives_null_statistics(capsys):
     data = _strict_json(out)
     assert [s["relative_variance"] for s in data["sizes"]] == [None, None]
     assert data["monotone_decreasing"] is None
+
+
+def test_cli_self_averaging_zero_mean_gives_null_statistics(capsys):
+    """The csyk L = 2, q = 0 block is zero, so every kept eigenvector is a
+    basis state with m2 = 0: a zero mean has no relative variance."""
+    for argv, count in ((["--L", "2", "--realizations", "2"], 1),
+                        (["--L", "2", "--L", "4", "--realizations", "3"], 2)):
+        code, out, _ = run_cli(capsys, ["self-averaging", *argv, "--fraction",
+                                        "1", "--seed", "0", "--threads", "1"])
+        assert code == 0
+        data = _strict_json(out)
+        sizes = data["sizes"]
+        assert len(sizes) == count
+        assert sizes[0]["m2"]["mean"] == 0.0
+        assert sizes[0]["relative_variance"] is None
+        assert all(s["relative_variance"] > 0 for s in sizes[1:])
+        assert data["monotone_decreasing"] is None
 
 
 def test_summary_writer_rejects_nan(tmp_path):
