@@ -51,8 +51,10 @@ __all__ = [
 _HERMITICITY_TOL = 1e-12
 _EIG_TOL = 1e-10
 
-#: smallest and largest L each model's builder accepts
-L_RANGE = {"csyk": (2, 14), "xxz": (2, math.inf), "mfim": (2, math.inf)}
+#: smallest and largest L of every builder: each kept eigenvector is
+#: embedded in 2^L amplitudes for the O(L 4^L) Pauli kernel, and 14 is also
+#: the sampling cap with allow_large
+L_RANGE = (2, 14)
 
 
 class NumericalContractError(RuntimeError):
@@ -99,7 +101,7 @@ class EigenSystem:
 
 
 def _check_L(model: str, L: int):
-    lo, hi = L_RANGE[model]
+    lo, hi = L_RANGE
     if not lo <= L <= hi:
         raise ValueError(f"{model} supports {lo} <= L <= {hi}, got {L}")
 

@@ -213,7 +213,7 @@ TABLE = {
              "(default: logarithmic)", many=True),
          ALLOW_LARGE) + IO,
         run_variance_convergence),
-    # xxz and mfim are clean models: every realization is identical
+    # xxz and mfim are clean models: they take one realization
     "csyk": _sweep("csyk", 100, ("fraction", 0.1)),
     "xxz": _sweep("xxz", 1, ("window", 0.25), coupling_help="xxz coupling"),
     "mfim": _sweep("mfim", 1, ("fraction", 0.1), charges=(),

@@ -76,7 +76,6 @@ CHUNK = 64
 
 _L_CAP_DEFAULT = 12
 _L_CAP_LARGE = 14
-_BLOCK_DIM_CAP = 2 ** 14  # the largest block any builder ever accepted
 #: peak memory of assembling and diagonalizing a dense block over its own
 #: bytes (5.1-6.2 measured on real and complex blocks, d = 1024-4096)
 _DENSE_COPIES = 7
@@ -123,14 +122,11 @@ def _size_check(Ls, qs, L_range, what: str) -> dict:
 
 
 def _block_check(Ls, qs, model: str):
-    """_size_check of a disorder run, then refuse a block above
-    _BLOCK_DIM_CAP states or one too large to diagonalize in physical
-    memory (_DENSE_COPIES times its bytes; csyk blocks are complex)."""
+    """_size_check of a disorder run, then refuse a block too large to
+    diagonalize in physical memory (_DENSE_COPIES times its bytes; csyk
+    blocks are complex)."""
     per_entry = _DENSE_COPIES * (16 if model == "csyk" else 8)
-    for (L, q), d in _size_check(Ls, qs, L_RANGE[model], model).items():
-        if d > _BLOCK_DIM_CAP:
-            raise ConfigError(
-                f"sector (L={L}, q={q}) has dimension {d} > {_BLOCK_DIM_CAP}")
+    for (L, q), d in _size_check(Ls, qs, L_RANGE, model).items():
         if per_entry * d * d > _PHYSICAL_MEMORY:
             raise ConfigError(f"sector (L={L}, q={q}) of dimension {d} is "
                               f"too large to diagonalize in physical memory")
@@ -298,7 +294,7 @@ _BUILDERS = {
     "xxz": lambda L, stream, p: build_xxz_nnn(L, **p),
     "mfim": lambda L, stream, p: build_mfim(L, **p),
 }
-#: models whose builders ignore the task stream
+#: models whose builders ignore the task stream: one realization each
 _CLEAN_MODELS = frozenset({"xxz", "mfim"})
 
 
@@ -306,14 +302,10 @@ def _disorder_chunk(args):
     """Disorder realizations, one per stream key, in task order: per
     realization a list with one cell per sector holding the m2 of each kept
     mid-spectrum eigenstate, their energy densities, the gap ratio and
-    whether the block is zero.  q None means the full space.  A clean
-    model has one realization: it is computed once and repeated per key."""
+    whether the block is zero.  q None means the full space."""
     keys, model, L, qs, params, window, fraction = args
     out = []
     for key in keys:
-        if out and model in _CLEAN_MODELS:
-            out.append(out[0])
-            continue
         H = _BUILDERS[model](L, GaussianStream(key), dict(params))
         row = []
         for q in qs:
@@ -520,8 +512,7 @@ def run_disorder_sweep(model, L, q=None, realizations=100, seed=0,
     the builder does not take is refused before any work.
 
     xxz and mfim are clean models: their builders ignore the task stream,
-    so `realizations` N pools N identical copies of one spectrum and the
-    reported sem is not a disorder sem.
+    so they take exactly one realization.
     """
     if model not in _BUILDERS:
         raise ConfigError(f"unknown model {model!r}")
@@ -531,6 +522,9 @@ def run_disorder_sweep(model, L, q=None, realizations=100, seed=0,
     unknown = sorted(set(couplings) - set(COUPLINGS[model]))
     if unknown:
         raise ConfigError(f"{model} takes no coupling {', '.join(unknown)}")
+    if model in _CLEAN_MODELS and realizations != 1:
+        raise ConfigError(f"{model} is a clean model and takes one "
+                          f"realization, got {realizations}")
     qs = [None] if q is None else list(q)
     if model == "mfim" and qs != [None]:
         raise ConfigError("mfim has no conserved charge; leave q unset")
@@ -593,8 +587,8 @@ def run_self_averaging(L_values=(6, 8, 10), realizations=50, seed=0,
                        threads=None, fraction=0.1):
     """Relative disorder fluctuation of the mean mid-spectrum m2 of csyk per
     system size; self-averaging shows up as a decreasing sequence.  Only
-    csyk: every realization of a clean model (xxz, mfim) is the same, so a
-    fluctuation across them means nothing."""
+    csyk: a clean model (xxz, mfim) has one realization and no disorder
+    fluctuation."""
     _fraction_check(fraction)
     q = 0  # half filling / zero magnetization
     _block_check(L_values, [q], "csyk")

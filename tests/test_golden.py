@@ -31,7 +31,7 @@ CASES = {
              "--realizations", "3", "--fraction", "0.3"],
     "xxz": ["xxz", "--L", "6", "--q", "0", "--window", "0.6",
             "--J2", "0.4", "--h-b", "0.1"],
-    "mfim": ["mfim", "--L", "4", "--realizations", "2"],
+    "mfim": ["mfim", "--L", "4"],
     "self_averaging": ["self-averaging", "--L", "4", "--L", "6",
                        "--realizations", "3", "--fraction", "0.3"],
     "collapse": ["collapse", "--L", "16", "--L", "24", "--s", "0.0",
@@ -47,8 +47,8 @@ GOLDEN = {
         "6a9f89defc9b04b1406ff28ac68554659228b83e017911a80f78a4002db43403",
         "f1f2d392153b8f313db1e3efcfc4007bd93435296d14e50dc1025e77fa68d34c"),
     "mfim": (
-        "2ba997013ca784d90be81c1b40556c88eb9579406405145bbbf6401a2b0cc01f",
-        "fcce9bc653b5ad3749af9cda64bcf25f3fe3839a95d46df1373bfd181f238a78"),
+        "3c151fa84878dce6142f08d45d1857d1b54b46c668d5cd62fc67f8d6958acc58",
+        "a91808ebeb465e7001427e4bd39eaf2438c0163d9627c437c1a64165e374f298"),
     "mixed": (
         "308d9909a1dc4541d3f6b30ec6fa432d0da638b4ff1cf5ba36f56499916e6ee0",
         "ae45c2c040ecb647e16598d2f71be3867d9ad92023a462085370a7db2f238bf2"),

@@ -140,6 +140,14 @@ def test_build_argument_validation():
         build_mfim(1)
 
 
+@pytest.mark.parametrize("build", [build_csyk, build_xxz_nnn, build_mfim])
+def test_every_builder_stops_at_L_14(build):
+    """One L range for every model: each kept eigenvector is embedded in
+    2^L amplitudes for the O(L 4^L) Pauli kernel."""
+    with pytest.raises(ValueError, match="supports 2 <= L <= 14, got 15"):
+        build(15)
+
+
 def test_coupling_tensor_hermiticity_enforced():
     pairs = tuple(itertools.combinations(range(3), 2))
     bad = np.zeros((3, 3), dtype=complex)

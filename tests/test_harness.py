@@ -608,24 +608,31 @@ def test_cli_degenerate_inputs_refused_up_front(capsys):
     assert "keeps no eigenstate" in err and "L=4" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["csyk", "--L", "15", "--q", "1"],  # above the csyk builder's range
-    ["csyk", "--L", "4", "--q", "1"],  # empty sector
-    ["xxz", "--L", "1", "--q", "1"],  # below the chain builders' range
-    ["xxz", "--L", "4", "--q", "1"],  # empty sector
-    ["mfim", "--L", "1"],
-], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
-def test_cli_degenerate_disorder_request_refused(capsys, argv):
-    _refused(capsys, argv + ["--threads", "1"])
+def _disorder_case(message, *argv):
+    return pytest.param(list(argv), message,
+                        id="-".join(a.lstrip("-") for a in argv))
 
 
-def test_disorder_block_cap_refused_before_any_build(capsys, monkeypatch):
-    monkeypatch.setattr(experiments, "_BLOCK_DIM_CAP", 19)
-    err = _refused(capsys, ["xxz", "--L", "6", "--q", "0", "--threads", "1"])
-    assert "dimension 20 > 19" in err
-    err = _refused(capsys, ["self-averaging", "--L", "4", "--L", "6",
-                            "--threads", "1"])
-    assert "L=6" in err
+@pytest.mark.parametrize("argv,message", [
+    # one L range for every model
+    _disorder_case("supports 2 <= L <= 14", "csyk", "--L", "15", "--q", "1"),
+    _disorder_case("supports 2 <= L <= 14", "xxz", "--L", "1", "--q", "1"),
+    _disorder_case("supports 2 <= L <= 14", "mfim", "--L", "1"),
+    _disorder_case("supports 2 <= L <= 14", "xxz", "--L", "15", "--q", "13"),
+    # one-state blocks whose basis enumeration would not fit in memory
+    _disorder_case("supports 2 <= L <= 14", "xxz", "--L", "30", "--q", "30"),
+    _disorder_case("supports 2 <= L <= 14", "xxz", "--L", "64", "--q", "64"),
+    # empty sectors
+    _disorder_case("is empty", "csyk", "--L", "4", "--q", "1"),
+    _disorder_case("is empty", "xxz", "--L", "4", "--q", "1"),
+])
+def test_cli_degenerate_disorder_request_refused(capsys, monkeypatch, argv,
+                                                 message):
+    built = []
+    monkeypatch.setattr(experiments, "extract_sector_block",
+                        lambda *args: built.append(args))
+    assert message in _refused(capsys, argv + ["--threads", "1"])
+    assert built == []
 
 
 def test_block_above_physical_memory_refused_before_any_build(
@@ -671,10 +678,11 @@ def test_physical_memory_unknown_skips_the_check(sysconf):
     assert out == "inf\n"
 
 
-def test_clean_model_is_built_once_per_chunk(monkeypatch):
-    """xxz and mfim builders ignore the stream: a chunk of realizations
-    builds one Hamiltonian and repeats its row, csyk builds one per key."""
-    calls = []
+def test_clean_model_takes_one_realization(monkeypatch):
+    """xxz and mfim builders ignore the stream, so a second realization
+    would repeat the first: it is refused before any build or pool.  csyk
+    builds one Hamiltonian per realization."""
+    calls, made = [], []
 
     def counted(build):
         def wrapper(*args, **kwargs):
@@ -682,21 +690,25 @@ def test_clean_model_is_built_once_per_chunk(monkeypatch):
             return build(*args, **kwargs)
         return wrapper
 
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
     for name in ("build_csyk", "build_xxz_nnn", "build_mfim"):
         monkeypatch.setattr(experiments, name,
                             counted(getattr(experiments, name)))
-    for model, qs, built in (("xxz", [0], 1), ("mfim", None, 1),
-                             ("csyk", [0], 3)):
-        calls.clear()
-        records, _ = experiments.run_disorder_sweep(
-            model, 4, q=qs, realizations=3, threads=1, fraction=0.5)
-        assert len(calls) == built, model
-        per_realization = {}
-        for rec in records:
-            per_realization.setdefault(rec.aux1, []).append(rec.value)
-        assert len(per_realization) == 3
-        if built == 1:
-            assert len({tuple(v) for v in per_realization.values()}) == 1
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    for model, qs in (("xxz", [0]), ("mfim", None)):
+        with pytest.raises(ConfigError, match=f"{model} is a clean model and "
+                                              f"takes one realization, got 2"):
+            experiments.run_disorder_sweep(model, 4, q=qs, realizations=2,
+                                           threads=2, fraction=0.5)
+    assert calls == [] and made == []
+    records, _ = experiments.run_disorder_sweep(
+        "csyk", 4, q=[0], realizations=3, threads=1, fraction=0.5)
+    assert len(calls) == 3
+    assert {rec.aux1 for rec in records} == {0.0, 1.0, 2.0}
 
 
 def test_disorder_sweep_refuses_couplings_the_builder_does_not_take(
