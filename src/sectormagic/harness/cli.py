@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Any, Callable, NamedTuple
@@ -357,6 +358,9 @@ def main(argv=None) -> int:
             if entry is None or entry.run is None or OUT not in entry.keys:
                 raise ConfigError(f"unknown experiment {command!r}")
         values = resolve(command, file, flags)
+        folder = os.path.dirname(values.get("out") or "") or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"output directory {folder} does not exist")
         params = {name: value for name, value in values.items()
                   if name not in ("out", "format")}
         _emit(TABLE[command].run(**params), values, sys.stdout)

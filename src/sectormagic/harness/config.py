@@ -36,8 +36,8 @@ def parse_config_text(text: str) -> dict:
 def load_config(path) -> dict:
     """The raw string mapping of a config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config_text(text)

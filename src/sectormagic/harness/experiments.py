@@ -79,6 +79,9 @@ _L_CAP_LARGE = 14
 #: peak memory of assembling and diagonalizing a dense block over its own
 #: bytes (5.1-6.2 measured on real and complex blocks, d = 1024-4096)
 _DENSE_COPIES = 7
+#: peak memory of a sample run per histogram bin and sector, in bytes
+#: (103-113 measured in the main process, 121 summed over it and two workers)
+_HIST_BIN_BYTES = 160
 try:  # bytes of physical memory; inf where os.sysconf cannot tell
     _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):
@@ -345,6 +348,9 @@ def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
     sample, with the exact ensemble moments attached for comparison."""
     qs = list(q)
     _budget_check(L, qs, allow_large)
+    if histogram_bins * len(qs) * _HIST_BIN_BYTES > _PHYSICAL_MEMORY:
+        raise ConfigError(f"{histogram_bins} histogram bins per sector do not "
+                          f"fit in physical memory")
 
     draws = _haar_draws(
         [(f"sample:L={L}:q={q}:frame={frame}", samples, q, frame)

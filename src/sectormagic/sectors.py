@@ -156,10 +156,6 @@ class Direction:
         return cls(*(v / nrm))
 
     @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.nx, self.ny, self.nz])
-
-    @property
     def theta(self) -> float:
         return math.acos(max(-1.0, min(1.0, self.nz)))
 

@@ -33,6 +33,7 @@ from sectormagic.harness import (
     write_summary,
 )
 from sectormagic.harness import experiments
+from sectormagic.sampler import SeedPolicy
 from sectormagic.harness.cli import TABLE, build_parser, main, resolve
 
 
@@ -383,6 +384,20 @@ def test_frame_choice_statistically_irrelevant():
     assert abs(oz["mean"] - ox["mean"]) < 3 * combined_se
 
 
+@pytest.mark.parametrize("L,q,n", [(8, 2, 16), (10, 0, 4)])
+def test_frames_are_clifford_rotations_state_by_state(L, q, n):
+    """The x and y frames rotate each z-frame state by a product of
+    single-qubit Cliffords, which permutes its Pauli strings up to sign: the
+    same stream keys give the same Xi_2 in every frame, through the kernel's
+    parity path (z) and its all-rows path (x, y)."""
+    policy = SeedPolicy(11)
+    keys = [policy.child_key(f"frames:L={L}", i) for i in range(n)]
+    xi2 = {frame: experiments._haar_chunk((keys, L, q, frame, ("xi2",), 0))[0]
+           for frame in "zxy"}
+    for frame in "xy":
+        np.testing.assert_allclose(xi2[frame], xi2["z"], rtol=1e-13, atol=0)
+
+
 def test_saturated_sector_samples_are_stabilizer_states():
     """The one-dimensional q=L sector is a basis state up to phase, so every
     sample has unit stabilizer purity to rounding."""
@@ -583,7 +598,7 @@ def _refused(capsys, argv):
     return err
 
 
-def test_cli_degenerate_inputs_refused_up_front(capsys):
+def test_cli_degenerate_inputs_refused_up_front(capsys, monkeypatch, tmp_path):
     for argv in (["sample", "--L", "4", "--samples", "0"],
                  ["variance-convergence", "--L", "4", "--samples", "0"],
                  ["mixed", "--L", "4", "--theta", "0.3", "--samples", "0"],
@@ -606,6 +621,16 @@ def test_cli_degenerate_inputs_refused_up_front(capsys):
     err = _refused(capsys, ["self-averaging", "--L", "4", "--L", "6",
                             "--fraction", "0.01", "--threads", "1"])
     assert "keeps no eigenstate" in err and "L=4" in err
+    # outside inputs: a config file that is not UTF-8, and an output prefix
+    # in a directory that does not exist, refused before any draw
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe L = 3\n")
+    err = _refused(capsys, ["--config", str(bad), "sample"])
+    assert "cannot read config" in err
+    err = _refused(capsys, ["sample", "--L", "2", "--q", "0", "--samples", "3",
+                            "--out", str(tmp_path / "missing" / "x")])
+    assert "output directory" in err and "does not exist" in err
 
 
 def _disorder_case(message, *argv):
@@ -660,6 +685,22 @@ def test_block_above_physical_memory_refused_before_any_build(
     for argv in (["xxz", "--L", "6", "--q", "0"], ["mfim", "--L", "4"]):
         code, _, _ = run_cli(capsys, argv + ["--threads", "1"])
         assert code == 0
+
+
+def test_histogram_beyond_physical_memory_refused(capsys, monkeypatch):
+    """A sample run whose histograms (bins times sectors) would not fit in
+    physical memory exits 2 before any draw."""
+    monkeypatch.setattr(experiments, "_PHYSICAL_MEMORY",
+                        200 * experiments._HIST_BIN_BYTES)
+    argv = ["sample", "--L", "2", "--samples", "3", "--threads", "1"]
+    code, _, _ = run_cli(capsys, argv + ["--q", "0", "--histogram-bins", "200"])
+    assert code == 0
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    for extra in (["--q", "0", "--histogram-bins", "201"],
+                  ["--q", "0", "--histogram-bins", "10000000000"],
+                  ["--q", "0", "--q", "2", "--histogram-bins", "200"]):
+        err = _refused(capsys, argv + extra)
+        assert "histogram bins per sector do not fit in physical memory" in err
 
 
 @pytest.mark.parametrize("sysconf", [
