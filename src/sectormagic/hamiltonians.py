@@ -50,6 +50,9 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-12
 _EIG_TOL = 1e-10
+#: rows and columns per tile or slice of the block-wide Hermitian work:
+#: its temporaries stay a few tiles, not blocks
+_TILE = 128
 
 #: smallest and largest L of every builder: each kept eigenvector is
 #: embedded in 2^L amplitudes for the O(L 4^L) Pauli kernel, and 14 is also
@@ -206,24 +209,28 @@ def _csyk_index_maps(L: int, q):
 
     Entries run by x, then (k, l), then (i, j), each ascending: the order
     in which np.add.at accumulates duplicates, fixed so blocks are
-    reproducible bit for bit.
+    reproducible bit for bit.  The maps are filled 64 basis states at a
+    time, in that order, so no temporary spans the whole basis.
     """
     basis = _sector_basis("csyk", L, q)
     lo, hi = np.array(list(itertools.combinations(range(L), 2)),
                       dtype=np.int64).T
     pbits = (1 << lo) | (1 << hi)
-    x = basis.states[:, None]
-    y0 = x ^ pbits  # c_k c_l applied, where both are occupied
-    cols, kl, ij = np.nonzero(((x & pbits) == pbits)[:, :, None]
-                              & ((y0[:, :, None] & pbits) == 0))
-    x, y0 = basis.states[cols], y0[cols, kl]
     # annihilate l then k, create j then i: each Jordan-Wigner string
     # counts the modes below its site (k < l, i < j keep the partner out)
     below = (1 << np.arange(L)) - 1
-    strings = sum(np.bitwise_count(v & below[site]) for v, site in (
-        (x, hi[kl]), (x, lo[kl]), (y0, hi[ij]), (y0, lo[ij])))
-    maps = (_positions(basis, y0 | pbits[ij]), cols,
-            1.0 - 2.0 * (strings & 1), ij * lo.size + kl)
+    parts = []
+    for first in range(0, basis.dimension, 64):
+        x = basis.states[first : first + 64, None]
+        y0 = x ^ pbits  # c_k c_l applied, where both are occupied
+        cols, kl, ij = np.nonzero(((x & pbits) == pbits)[:, :, None]
+                                  & ((y0[:, :, None] & pbits) == 0))
+        x, y0 = x[cols, 0], y0[cols, kl]
+        strings = sum(np.bitwise_count(v & below[site]) for v, site in (
+            (x, hi[kl]), (x, lo[kl]), (y0, hi[ij]), (y0, lo[ij])))
+        parts.append((_positions(basis, y0 | pbits[ij]), cols + first,
+                      1.0 - 2.0 * (strings & 1), ij * lo.size + kl))
+    maps = tuple(np.concatenate(a) for a in zip(*parts))
     for a in maps:  # shared by every caller through the cache
         a.flags.writeable = False
     return maps
@@ -235,10 +242,23 @@ def _csyk_block(H: Hamiltonian, basis: SectorBasisMap) -> np.ndarray:
     np.add.at(block, (rows, cols),
               signs * H.couplings.values.reshape(-1)[cidx])
     block *= 4.0 * (2 * H.L) ** -1.5
-    delta = float(np.max(np.abs(block - block.conj().T)))
+    # the Hermiticity delta and (block + block^H) / 2, in place, one pair of
+    # mirrored tiles at a time; each entry takes the whole-block operations
+    delta = 0.0
+    for i in range(0, block.shape[0], _TILE):
+        for j in range(i, block.shape[0], _TILE):
+            a = block[i : i + _TILE, j : j + _TILE]
+            b = block[j : j + _TILE, i : i + _TILE]
+            delta = max(delta, float(np.max(np.abs(a - b.conj().T))))
+            upper = a + b.conj().T
+            upper /= 2
+            if j > i:
+                b += a.conj().T
+                b /= 2
+            a[...] = upper
     if delta > _HERMITICITY_TOL:
         raise NumericalContractError(f"csyk assembly non-Hermitian by {delta}")
-    return (block + block.conj().T) / 2
+    return block
 
 
 def _z(basis: SectorBasisMap) -> np.ndarray:
@@ -303,26 +323,43 @@ def diagonalize(matrix: np.ndarray) -> EigenSystem:
 
     Each eigenvector is rotated so its largest-modulus component (first
     index on ties) is real positive.  Residual ||Hv - Ev|| <= 1e-10 ||H||
-    and orthonormality to 1e-10 are enforced.
+    and orthonormality to 1e-10 are enforced.  The checks and the phase
+    fix run on slices of _TILE columns, so their temporaries stay a few
+    slices.  The vectors are C-contiguous.
     """
     Hm = np.asarray(matrix)
-    if np.max(np.abs(Hm - Hm.conj().T)) > _HERMITICITY_TOL * max(
-            1.0, float(np.max(np.abs(Hm)))):
+    slices = [slice(s, s + _TILE) for s in range(0, Hm.shape[1], _TILE)]
+    delta = big = 0.0
+    for s in slices:
+        delta = max(delta, float(np.max(np.abs(Hm[:, s] - Hm[s].conj().T))))
+        big = max(big, float(np.max(np.abs(Hm[:, s]))))
+    if delta > _HERMITICITY_TOL * max(1.0, big):
         raise NumericalContractError("matrix is not Hermitian")
-    evals, evecs = scipy.linalg.eigh(Hm)
+    evals, eigh_vectors = scipy.linalg.eigh(Hm)
 
-    pivot = np.argmax(np.abs(evecs), axis=0)
-    lead = evecs[pivot, np.arange(evecs.shape[1])]
-    phase = np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
-    # a real matrix has real vectors and real phases: no cast needed
-    evecs = np.ascontiguousarray(evecs / phase[None, :])
+    # eigh's vectors are column-major: divided into a C-ordered copy
+    evecs = np.empty_like(eigh_vectors, order="C")
+    for s in slices:
+        v = eigh_vectors[:, s]
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        # a real matrix has real vectors and real phases: no cast needed
+        np.divide(v, np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0),
+                  out=evecs[:, s])
+    del eigh_vectors
 
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    resid = np.max(np.abs(Hm @ evecs - evecs * evals[None, :]))
+    resid = ortho = 0.0
+    for s in slices:
+        v = evecs[:, s]
+        r = Hm @ v
+        r -= v * evals[s]
+        resid = max(resid, float(np.max(np.abs(r))))
+        gram = v.conj().T @ evecs  # rows s of the Gram matrix
+        k = np.arange(v.shape[1])
+        gram[k, s.start + k] -= 1.0
+        ortho = max(ortho, float(np.max(np.abs(gram))))
     if resid > _EIG_TOL * max(scale, 1.0):
         raise NumericalContractError(f"eigen residual {resid} too large")
-    gram = evecs.conj().T @ evecs
-    ortho = np.max(np.abs(gram - np.eye(gram.shape[0])))
     if ortho > _EIG_TOL:
         raise NumericalContractError(f"eigenvectors not orthonormal: {ortho}")
     return EigenSystem(values=evals, vectors=evecs)

@@ -77,8 +77,8 @@ CHUNK = 64
 _L_CAP_DEFAULT = 12
 _L_CAP_LARGE = 14
 #: peak memory of assembling and diagonalizing a dense block over its own
-#: bytes (5.1-6.2 measured on real and complex blocks, d = 1024-4096)
-_DENSE_COPIES = 7
+#: bytes (3.1-4.0 measured: mfim full space d = 1024-4096, csyk d = 1024-3432)
+_DENSE_COPIES = 5
 #: peak memory of a sample run per histogram bin and sector, in bytes
 #: (103-113 measured in the main process, 121 summed over it and two workers)
 _HIST_BIN_BYTES = 160
@@ -330,6 +330,7 @@ def _disorder_chunk(args):
                 "gap_ratio": adjacent_gap_ratio(es.values),
                 "block_zero": block_zero,
             })
+            del block, es  # free them before the next sector's assembly
         out.append(row)
     return out
 

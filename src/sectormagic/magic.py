@@ -12,14 +12,22 @@ Walsh-Hadamard transformed over b.  Masks are processed in fixed-order
 batches (deterministic accumulation) in O(L 4^L) total time; the i^{a.b}
 phase of the Hermitian Pauli string is dropped since only moduli enter.
 
-Layout.  A batch is gathered transposed, one column per X-mask, as a
-(2^L, masks) array, and the butterfly runs along its leading axis, so every
-level's inner loop spans h times the batch width instead of h elements.
-|g|^2 is then put back into the row-major (masks, 2^L) array, one row per
-mask, before the per-batch sums and the histogram.  Each element goes
+Layout.  The live X-masks of a batch are gathered in sub-blocks of
+columns, one column per mask, as (2^L, columns) arrays, and the butterfly
+runs along the leading axis, so every level's inner loop spans h times
+the sub-block width instead of h elements.  Each sub-block's |g|^2 is put
+back into the row-major (masks, 2^L) array, one row per mask, before the
+per-batch sums, and its values are histogrammed.  Each element goes
 through the same floating-point operations in the same order as in the
 row-major last-axis transform, and the sums see the same array, so the
 output is bitwise that of the row-major loop.
+
+Workspace.  The buffers of one call (the gather, the index table that
+then holds |g|^2, and the row-major array) are kept per process and
+reused by the next call at the same L, so repeated calls map no fresh
+pages.  A sub-block has at most 2^18 amplitudes, so the gather and index
+table stay at 6 MB, and the row-major array at 2^21 Pauli strings
+(16 MB), from L = 11 on.  A forked worker owns its copy.
 
 Parity shortcut.  If every nonzero amplitude c_x has the same popcount
 parity (every z-frame sector state, every embedded sector eigenstate),
@@ -93,6 +101,36 @@ class PauliSpectrumSummary:
         return self.purities[float(alpha)]
 
 
+class _Workspace:
+    """The kernel's buffers at one L: the basis indices and their popcount
+    parities, one sub-block of the gather (complex) and of the index table
+    (int64, later read as float64 |g|^2), and the row-major array p of one
+    batch."""
+
+    def __init__(self, L: int):
+        n = 1 << L
+        self.L = L
+        self.idx0 = np.arange(n, dtype=np.int64)
+        self.odd = np.bitwise_count(self.idx0) & 1
+        self.batch = max(1, min(n, (1 << 21) // n))
+        self.width = max(1, min(self.batch, (1 << 18) // n))
+        self.gather = np.empty(n * self.width, dtype=np.complex128)
+        self.table = np.empty(n * self.width, dtype=np.int64)
+        self.p = np.empty((self.batch, n))
+
+
+_workspace: _Workspace | None = None
+
+
+def _workspace_at(L: int) -> _Workspace:
+    """This process's workspace, replaced when a call at another L comes."""
+    global _workspace
+    if _workspace is None or _workspace.L != L:
+        _workspace = None  # free the old buffers before the new ones
+        _workspace = _Workspace(L)
+    return _workspace
+
+
 def pauli_spectrum(
     state: np.ndarray,
     alphas=(2,),
@@ -101,13 +139,14 @@ def pauli_spectrum(
     """Compute Xi_alpha for each requested alpha in one pass over all 4^L
     Pauli strings.
 
-    X-masks are transformed in batches of max(1, min(2^L, 2^21 / 2^L)), so
-    the working set is fixed at 2^21 Pauli strings once L >= 11.  A batch
-    is transformed with one column per mask and summed with one row per
-    mask, in the floating-point order of a row-major transform (see the
-    module docstring).  A bounded histogram of the |<P>|^2 values over
-    [0, 1] is accumulated when histogram_bins is given; the full 4^L list
-    is never stored.
+    X-masks are summed in batches of max(1, min(2^L, 2^21 / 2^L)) and
+    transformed in sub-blocks of at most max(1, 2^18 / 2^L) of a batch's
+    live masks, so the working set is fixed once L >= 11.  A sub-block is
+    transformed with one column per mask and a batch is summed with one
+    row per mask, in the floating-point order of a row-major transform
+    (see the module docstring).  A bounded histogram of the |<P>|^2
+    values over [0, 1] is accumulated when histogram_bins is given; the
+    full 4^L list is never stored.
 
     When the exact zeros of the state leave support of one popcount
     parity only, the odd X-mask rows, which are exactly zero, are skipped
@@ -129,44 +168,54 @@ def pauli_spectrum(
         hist_counts = np.zeros(histogram_bins, dtype=np.int64)
         hist_edges = np.linspace(0.0, 1.0, histogram_bins + 1)
 
-    idx0 = np.arange(n, dtype=np.int64)
-    odd = np.bitwise_count(idx0) & 1
-    parities = odd[psi != 0]
+    ws = _workspace_at(L)
+    idx0, p = ws.idx0, ws.p
+    parities = ws.odd[psi != 0]
     # support of one parity: every odd X-mask row is exactly zero
-    live = (odd == 0) | (parities.min() != parities.max())
-    batch = max(1, min(n, (1 << 21) // n))
-    for start in range(0, n, batch):
-        masks = idx0[start : start + batch]
+    live = (ws.odd == 0) | (parities.min() != parities.max())
+    for start in range(0, n, ws.batch):
+        masks = idx0[start : start + ws.batch]
         rows = np.flatnonzero(live[masks])
-        # column r holds f_{m_r}(x) = conj(psi[x ^ m_r]) psi[x]
-        g = psi[idx0[:, None] ^ masks[None, rows]]
-        np.conjugate(g, out=g)
-        g *= psi[:, None]
-        # real and imaginary parts take the same additions; the real -2.0
-        # differs from the complex one only in the sign of exact zeros,
-        # which the modulus drops
-        fwht_leading_axis(g.view(np.float64))
-        g2 = np.abs(g)
-        del g  # free the gather before the row-order copy: a lower peak
-        np.multiply(g2, g2, out=g2)  # |<P>|^2
-        # back to row order over the whole batch, skipped rows zero-filled,
-        # so the sums run in the floating-point order of the all-mask loop;
-        # 64 columns at a time keep the transposed reads in cache
-        p = np.zeros((masks.size, n))
-        for x in range(0, n, 64):
-            p[rows, x : x + 64] = g2[x : x + 64].T
+        # skipped rows stay zero, so the sums run in the floating-point
+        # order of the all-mask loop
+        p.fill(0.0)
+        for lo in range(0, rows.size, ws.width):
+            sub = rows[lo : lo + ws.width]
+            idx = ws.table[: n * sub.size].reshape(n, sub.size)
+            g = ws.gather[: n * sub.size].reshape(n, sub.size)
+            # column r holds f_{m_r}(x) = conj(psi[x ^ m_r]) psi[x]; every
+            # index is in range, and mode="clip" takes no buffered copy
+            np.bitwise_xor(idx0[:, None], masks[sub], out=idx)
+            np.take(psi, idx, out=g, mode="clip")
+            np.conjugate(g, out=g)
+            g *= psi[:, None]
+            # real and imaginary parts take the same additions; the real
+            # -2.0 differs from the complex one only in the sign of exact
+            # zeros, which the modulus drops
+            fwht_leading_axis(g.view(np.float64))
+            g2 = idx.view(np.float64)  # the index table is spent
+            np.abs(g, out=g2)
+            np.multiply(g2, g2, out=g2)  # |<P>|^2
+            # back to row order; 64 columns at a time keep the transposed
+            # reads in cache
+            for x in range(0, n, 64):
+                p[sub, x : x + 64] = g2[x : x + 64].T
+            if hist_counts is not None:
+                # counts do not depend on the element order; clamp the
+                # one-ulp overshoot of the identity string
+                np.minimum(g2, 1.0, out=g2)
+                hist_counts += np.histogram(g2, bins=hist_edges)[0]
         if hist_counts is not None:
-            # counts do not depend on the element order; clamp the one-ulp
-            # overshoot of the identity string
-            np.minimum(g2, 1.0, out=g2)
-            c, _ = np.histogram(g2, bins=hist_edges)
-            c[0] += (masks.size - rows.size) * n  # the skipped zero rows
-            hist_counts += c
-        del g2
-        for a in alphas:
-            # p ** 2.0 is np.square, bitwise p * p
+            hist_counts[0] += (masks.size - rows.size) * n  # skipped zeros
+        for a in alphas[:-1]:
             acc[a] += float(np.sum(p ** a))
-        del p
+        for a in alphas[-1:]:
+            # the last power in place: p ** 2.0 is np.square, bitwise p * p
+            if a == 2.0:
+                np.multiply(p, p, out=p)
+            else:
+                np.power(p, a, out=p)
+            acc[a] += float(np.sum(p))
 
     purities = {a: acc[a] / n for a in alphas}
     histogram = (hist_counts, hist_edges) if hist_counts is not None else None

@@ -626,3 +626,52 @@ def csyk_index_maps_loop(L: int):
                 out.append((y0 ^ (1 << j) ^ (1 << i), x, s,
                             pos[(i, j)] * len(pairs) + pos[(k, l)]))
     return [np.array(col) for col in zip(*out)]
+
+
+def csyk_index_maps_one_shot(L: int, q):
+    """The csyk assembly maps with the (x, (k, l), (i, j)) masks filled
+    for every basis state at once: the reference for the package's fill,
+    which runs 64 basis states at a time."""
+    from sectormagic.hamiltonians import _positions, _sector_basis
+
+    basis = _sector_basis("csyk", L, q)
+    lo, hi = np.array(list(itertools.combinations(range(L), 2)),
+                      dtype=np.int64).T
+    pbits = (1 << lo) | (1 << hi)
+    x = basis.states[:, None]
+    y0 = x ^ pbits
+    cols, kl, ij = np.nonzero(((x & pbits) == pbits)[:, :, None]
+                              & ((y0[:, :, None] & pbits) == 0))
+    x, y0 = basis.states[cols], y0[cols, kl]
+    below = (1 << np.arange(L)) - 1
+    strings = sum(np.bitwise_count(v & below[site]) for v, site in (
+        (x, hi[kl]), (x, lo[kl]), (y0, hi[ij]), (y0, lo[ij])))
+    return (_positions(basis, y0 | pbits[ij]), cols,
+            1.0 - 2.0 * (strings & 1), ij * lo.size + kl)
+
+
+def csyk_block_one_shot(H, q) -> np.ndarray:
+    """The csyk charge-q block made Hermitian in one shot over the whole
+    block, (B + B^H) / 2: the reference for the package's tiled pass."""
+    from sectormagic.hamiltonians import _sector_basis
+
+    basis = _sector_basis("csyk", H.L, q)
+    rows, cols, signs, cidx = csyk_index_maps_one_shot(H.L, q)
+    block = np.zeros((basis.dimension,) * 2, dtype=np.complex128)
+    np.add.at(block, (rows, cols),
+              signs * H.couplings.values.reshape(-1)[cidx])
+    block *= 4.0 * (2 * H.L) ** -1.5
+    return (block + block.conj().T) / 2
+
+
+def diagonalize_one_shot(matrix: np.ndarray):
+    """Eigenvalues and phase-fixed vectors of a Hermitian matrix with the
+    phases divided out over the whole vector array at once: the reference
+    for the package's sliced phase fix."""
+    import scipy.linalg
+
+    evals, evecs = scipy.linalg.eigh(np.asarray(matrix))
+    pivot = np.argmax(np.abs(evecs), axis=0)
+    lead = evecs[pivot, np.arange(evecs.shape[1])]
+    phase = np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
+    return evals, np.ascontiguousarray(evecs / phase[None, :])

@@ -108,3 +108,19 @@ def test_participation_keeps_exact_zero_weights():
             assert math.isfinite(got[obs][i])
             assert np.float64(got[obs][i]).tobytes() == \
                 np.float64(value).tobytes(), (i, obs)
+
+
+def test_a_second_draw_leaves_the_first_block_unchanged():
+    """The raw draws and uniforms sit in buffers that later calls reuse and
+    grow; each returned block is its own array."""
+    keys = _keys(12)
+    first = sector_haar_coefficients(keys[:4], 20)
+    kept = first.copy()
+    later = [sector_haar_coefficients(keys[4:8], 20),   # same size
+             sector_haar_coefficients(keys[8:11], 20),  # smaller
+             sector_haar_coefficients(keys[4:9], 70)]   # larger
+    np.testing.assert_array_equal(first, kept)
+    for block in later:
+        assert not np.shares_memory(first, block)
+    np.testing.assert_array_equal(later[0],
+                                  sector_haar_coefficients(keys[4:8], 20))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from sectormagic import (
@@ -194,6 +195,30 @@ def test_csyk_sector_block_never_builds_the_full_matrix():
     assert peak < 128 * 2 ** 20, peak / 2 ** 20
 
 
+def test_tiled_csyk_assembly_is_bitwise_the_one_shot_form():
+    """Blocks of several tiles a side (d = 252, 210 and 256): the index
+    maps, filled 64 basis states at a time, equal the one-shot fill, and
+    the tiled Hermitian pass gives the bytes of (B + B^H) / 2 taken over
+    the whole block."""
+    for L, q in ((10, 0), (10, 2), (8, None)):
+        for got, want in zip(_csyk_index_maps(L, q),
+                             oracles.csyk_index_maps_one_shot(L, q)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        H = build_csyk(L, seed=4)
+        block, _ = extract_sector_block(H, q)
+        assert block.tobytes() == oracles.csyk_block_one_shot(H, q).tobytes()
+
+
+def test_tiled_csyk_assembly_catches_a_defect_in_the_last_tile():
+    """A non-Hermitian coupling between the pairs (8, 9) and (7, 9) puts
+    its entries in rows of the last tile of the L = 10, q = 0 block."""
+    H = build_csyk(10, seed=4)
+    H.couplings.values[-1, -2] += 1e-6
+    with pytest.raises(NumericalContractError, match="non-Hermitian"):
+        extract_sector_block(H, 0)
+
+
 def test_csyk_sector_structure():
     """Charge blocks have binomial dimensions; the two-body interaction
     annihilates the empty and single-fermion sectors identically."""
@@ -274,6 +299,65 @@ def test_diagonalize_vector_layout():
         vectors = diagonalize(matrix).vectors
         assert vectors.dtype == dtype
         assert vectors.flags.c_contiguous
+
+
+def _hermitian(d, seed, real=False):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    if not real:
+        a = a + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+def test_sliced_phase_fix_is_bitwise_the_one_shot_form():
+    """At d = 300 (three column slices, the last one short) the vectors
+    have the bytes of dividing the phases out of the whole array at once,
+    real and complex."""
+    for matrix in (_hermitian(300, 8, real=True), _hermitian(300, 8)):
+        es = diagonalize(matrix)
+        values, vectors = oracles.diagonalize_one_shot(matrix)
+        assert es.values.tobytes() == values.tobytes()
+        assert es.vectors.flags.c_contiguous
+        assert es.vectors.dtype == vectors.dtype
+        assert es.vectors.tobytes() == vectors.tobytes()
+
+
+def _defect(w, v, kind):
+    """Spoil the last eigenpair of eigh's output in place."""
+    if kind == "eigenvalue":
+        w[-1] += 1e-6
+    elif kind == "mixed":
+        v[:, -1] += 1e-6 * v[:, 0]
+    elif kind == "scaled":
+        v[:, -1] *= 1.0 + 1e-6
+    else:  # a copy of the pair before it
+        w[-1] = w[-2]
+        v[:, -1] = v[:, -2]
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("eigenvalue", "residual"), ("mixed", "residual"),
+    ("scaled", "not orthonormal"), ("duplicate", "not orthonormal")])
+def test_sliced_checks_catch_a_defect_in_the_last_slice(monkeypatch, kind,
+                                                         message):
+    matrix = _hermitian(300, 9)
+    eigh = scipy.linalg.eigh
+
+    def spoiled(m):
+        w, v = eigh(m)
+        _defect(w, v, kind)
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spoiled)
+    with pytest.raises(NumericalContractError, match=message):
+        diagonalize(matrix)
+
+
+def test_sliced_hermiticity_check_catches_the_last_slice():
+    matrix = _hermitian(300, 9)
+    matrix[299, 290] += 1e-9
+    with pytest.raises(NumericalContractError, match="not Hermitian"):
+        diagonalize(matrix)
 
 
 def test_midspectrum_filter_window_and_fraction():

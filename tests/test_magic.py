@@ -13,6 +13,7 @@ from sectormagic import (
     stabilizer_entropy,
     stabilizer_purity_fast,
 )
+from sectormagic import magic
 from sectormagic.magic import fwht_leading_axis
 from sectormagic.sectors import popcount
 
@@ -218,16 +219,19 @@ def test_input_validation():
         stabilizer_entropy(haar_state(2, 0), alpha=1)
 
 
-def test_kernel_working_set_is_fixed():
+def test_kernel_working_set_is_fixed(monkeypatch):
     """From L = 11 on the kernel transforms 2^21 Pauli strings per batch,
     so its peak allocation stops growing with L and stays below the 4^L
     spectrum it never materializes.  A sector state, whose skipped rows
-    are zero-filled for the sums, peaks no higher than a full state."""
+    are zero-filled for the sums, peaks no higher than a full state.  Each
+    measured call starts from a cleared workspace, so its peak holds the
+    workspace's buffers too."""
     states = [haar_state(L, seed=2) for L in (11, 12)]
     states.append(constrained_haar_state(12, 0, seed=2))
     pauli_spectrum(states[0], (2,), histogram_bins=200)  # warm up
     peaks = []
     for psi in states:
+        monkeypatch.setattr(magic, "_workspace", None)
         tracemalloc.start()
         pauli_spectrum(psi, (2,), histogram_bins=200)
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -235,6 +239,59 @@ def test_kernel_working_set_is_fixed():
     assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
     assert peaks[1] < (4 ** 12) * 8
     assert peaks[2] <= peaks[1]
+
+
+def _spectrum_bytes(psi, bins=None):
+    summ = pauli_spectrum(psi, (2, 3), histogram_bins=bins)
+    hist = None if summ.histogram is None else summ.histogram[0].tobytes()
+    return summ.purities, hist
+
+
+def test_fresh_and_reused_workspace_give_equal_bytes(monkeypatch):
+    """The kernel's buffers outlive a call; the next call at the same L
+    reuses them and gives the bytes of a call on a fresh workspace."""
+    for psi in (constrained_haar_state(8, 0, seed=3),
+                constrained_haar_state(8, 2, frame="x", seed=3)):
+        for bins in (None, 200):
+            monkeypatch.setattr(magic, "_workspace", None)
+            fresh = _spectrum_bytes(psi, bins)
+            assert _spectrum_bytes(psi, bins) == fresh
+
+
+def test_interleaved_sizes_change_nothing(monkeypatch):
+    """Each call at another L replaces the workspace; going back and forth
+    between L = 8 and L = 10 gives the bytes of fresh calls."""
+    states = (constrained_haar_state(8, 0, seed=4),
+              constrained_haar_state(10, 2, frame="x", seed=4))
+    fresh = []
+    for psi in states:
+        monkeypatch.setattr(magic, "_workspace", None)
+        fresh.append(_spectrum_bytes(psi))
+    for _ in range(2):
+        for psi, want in zip(states, fresh):
+            assert _spectrum_bytes(psi) == want
+
+
+def test_histogram_call_between_plain_calls_changes_nothing(monkeypatch):
+    psi = constrained_haar_state(8, 0, seed=5)
+    monkeypatch.setattr(magic, "_workspace", None)
+    plain = _spectrum_bytes(psi)
+    binned = _spectrum_bytes(psi, 200)
+    assert _spectrum_bytes(psi) == plain
+    monkeypatch.setattr(magic, "_workspace", None)
+    assert _spectrum_bytes(psi, 200) == binned
+
+
+def test_all_rows_state_after_a_smaller_call_matches_all_masks():
+    """An x-frame state transforms every X-mask, at L = 11 in two batches
+    of 1024 masks and 16 sub-blocks of 128; after an L = 8 call it still
+    equals the all-mask reference, histogram included."""
+    pauli_spectrum(constrained_haar_state(8, 0, seed=6), (2,))
+    psi = constrained_haar_state(11, 1, frame="x", seed=6)
+    got = pauli_spectrum(psi, (2,), histogram_bins=200)
+    ref = oracles.pauli_spectrum_all_masks(psi, (2,), histogram_bins=200)
+    assert got.purities == ref.purities
+    np.testing.assert_array_equal(got.histogram[0], ref.histogram[0])
 
 
 def test_entropy_hierarchy_and_pe_bound():
