@@ -325,7 +325,10 @@ def diagonalize(matrix: np.ndarray) -> EigenSystem:
     index on ties) is real positive.  Residual ||Hv - Ev|| <= 1e-10 ||H||
     and orthonormality to 1e-10 are enforced.  The checks and the phase
     fix run on slices of _TILE columns, so their temporaries stay a few
-    slices.  The vectors are C-contiguous.
+    slices; the Gram check takes each slice's rows against the columns
+    from the slice on, so it covers every pair i <= j once.  The vectors
+    are eigh's own column-major array, phases divided out in place, so
+    each eigenvector is a contiguous column.
     """
     Hm = np.asarray(matrix)
     slices = [slice(s, s + _TILE) for s in range(0, Hm.shape[1], _TILE)]
@@ -335,17 +338,12 @@ def diagonalize(matrix: np.ndarray) -> EigenSystem:
         big = max(big, float(np.max(np.abs(Hm[:, s]))))
     if delta > _HERMITICITY_TOL * max(1.0, big):
         raise NumericalContractError("matrix is not Hermitian")
-    evals, eigh_vectors = scipy.linalg.eigh(Hm)
-
-    # eigh's vectors are column-major: divided into a C-ordered copy
-    evecs = np.empty_like(eigh_vectors, order="C")
+    evals, evecs = scipy.linalg.eigh(Hm)
     for s in slices:
-        v = eigh_vectors[:, s]
+        v = evecs[:, s]
         lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         # a real matrix has real vectors and real phases: no cast needed
-        np.divide(v, np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0),
-                  out=evecs[:, s])
-    del eigh_vectors
+        v /= np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
 
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     resid = ortho = 0.0
@@ -354,9 +352,9 @@ def diagonalize(matrix: np.ndarray) -> EigenSystem:
         r = Hm @ v
         r -= v * evals[s]
         resid = max(resid, float(np.max(np.abs(r))))
-        gram = v.conj().T @ evecs  # rows s of the Gram matrix
+        gram = v.conj().T @ evecs[:, s.start:]  # rows s, columns from s on
         k = np.arange(v.shape[1])
-        gram[k, s.start + k] -= 1.0
+        gram[k, k] -= 1.0
         ortho = max(ortho, float(np.max(np.abs(gram))))
     if resid > _EIG_TOL * max(scale, 1.0):
         raise NumericalContractError(f"eigen residual {resid} too large")

@@ -202,13 +202,13 @@ def _haar_chunk(args):
     Observables: xi2 and m2 (Pauli kernel), ipr2 = sum p^2 and s2, the
     Shannon participation entropy shannon_pe, and probe, the weight
     d |c_x0|^2 of the first sector basis state.  Only the requested ones
-    are computed.  The chunk's coefficients are drawn as one block; the
-    participation observables of z-frame states come from its weights, and
-    kernel calls and rotated-frame states take the embedded states one at
-    a time.  Every value has the bits of the per-state computation kept in
-    tests/oracles.py.
+    are computed.  The chunk's coefficients are drawn as one block, and
+    one participation call reduces the weights of all its states, on the
+    sector basis in the z frame and on all 2^L amplitudes once rotated;
+    kernel calls take the states one at a time.  Every value has the bits
+    of the per-state computation kept in tests/oracles.py.
 
-    Rotated frames stay per state: rotating the whole (64, 4096) block at
+    Rotation stays per state: rotating the whole (64, 4096) block at
     once, in an x-frame pe-check at L = 12, took 717-827 us per state
     against 557-755 us for the per-state path (median of 15 calls,
     repeated 5 times, on a 2-vCPU machine).
@@ -217,23 +217,23 @@ def _haar_chunk(args):
     basis = enumerate_sector(L, q)
     coeffs = sector_haar_coefficients(keys, basis.dimension)
     kernel = "xi2" in observables or "m2" in observables
-    # a z-frame state's weights sit on the sector basis states, in
-    # increasing x; its probe weight is in column 0
-    cols = (_participation(np.abs(coeffs) ** 2, basis.states, 0, basis,
-                           observables) if frame == "z" else {})
+    if frame == "z":
+        # a z-frame state's weights sit on the sector basis states, in
+        # increasing x; its probe weight is in column 0
+        states = map(basis.embed, coeffs)
+        cols = _participation(np.abs(coeffs) ** 2, basis.states, 0, basis,
+                              observables)
+    else:
+        states = np.empty((len(keys), 2 ** L), dtype=complex)
+        for state, c in zip(states, coeffs):
+            state[:] = apply_frame_rotation(basis.embed(c), frame)
+        cols = _participation(np.abs(states) ** 2, slice(None),
+                              int(basis.states[0]), basis, observables)
+    hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
     if kernel:
         cols["xi2"] = np.empty(len(keys))
         cols["m2"] = np.empty(len(keys))
-    hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
-    for i, c in enumerate(coeffs if kernel or frame != "z" else ()):
-        state = basis.embed(c)
-        if frame != "z":
-            state = apply_frame_rotation(state, frame)
-            one = _participation((np.abs(state) ** 2)[None], slice(None),
-                                 int(basis.states[0]), basis, observables)
-            for obs, (value,) in one.items():
-                cols.setdefault(obs, np.empty(len(keys)))[i] = value
-        if kernel:
+        for i, state in enumerate(states):
             summ = pauli_spectrum(state, (2.0,),
                                   histogram_bins=hist_bins or None)
             xi2 = cols["xi2"][i] = summ.purity(2.0)

@@ -122,13 +122,12 @@ def _k_central(L: int, q: int, power: int) -> int:
     sum_m C(L,2m) C(2m,m)^power C(L-2m, (L-2m-q)/2)^power.
 
     The charge sits only in the second binomial; the first is the
-    charge-blind central binomial.
+    charge-blind central binomial.  The caller checks the sector, so
+    L - q, and with it every n - q, is even.
     """
     total = 0
     for m in range(L // 2 + 1):
         n = L - 2 * m
-        if (n - q) % 2 != 0:
-            continue
         total += (
             math.comb(L, 2 * m)
             * math.comb(2 * m, m) ** power

@@ -289,7 +289,7 @@ def test_diagonalize_contracts():
 
 
 def test_diagonalize_vector_layout():
-    """Vectors are C-contiguous, real for a real symmetric matrix and
+    """Vectors are column-major, real for a real symmetric matrix and
     complex for a complex Hermitian one."""
     rng = np.random.default_rng(5)
     S = rng.normal(size=(12, 12))
@@ -298,7 +298,7 @@ def test_diagonalize_vector_layout():
                           ((H + H.conj().T) / 2, np.complex128)):
         vectors = diagonalize(matrix).vectors
         assert vectors.dtype == dtype
-        assert vectors.flags.c_contiguous
+        assert vectors.flags.f_contiguous
 
 
 def _hermitian(d, seed, real=False):
@@ -317,9 +317,26 @@ def test_sliced_phase_fix_is_bitwise_the_one_shot_form():
         es = diagonalize(matrix)
         values, vectors = oracles.diagonalize_one_shot(matrix)
         assert es.values.tobytes() == values.tobytes()
-        assert es.vectors.flags.c_contiguous
+        assert es.vectors.flags.f_contiguous
         assert es.vectors.dtype == vectors.dtype
         assert es.vectors.tobytes() == vectors.tobytes()
+
+
+def test_vectors_are_the_array_eigh_returned(monkeypatch):
+    """The phases are divided out in eigh's own vector array, real and
+    complex, with no second d x d array."""
+    eigh = scipy.linalg.eigh
+    returned = []
+
+    def recording(m):
+        w, v = eigh(m)
+        returned.append(v)
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    for matrix in (_hermitian(300, 8, real=True), _hermitian(300, 8)):
+        es = diagonalize(matrix)
+        assert np.shares_memory(es.vectors, returned[-1])
 
 
 def _defect(w, v, kind):
@@ -330,14 +347,18 @@ def _defect(w, v, kind):
         v[:, -1] += 1e-6 * v[:, 0]
     elif kind == "scaled":
         v[:, -1] *= 1.0 + 1e-6
-    else:  # a copy of the pair before it
+    elif kind == "duplicate":  # a copy of the pair before it
         w[-1] = w[-2]
         v[:, -1] = v[:, -2]
+    else:  # a copy of pair 0: a pair across the first and last slices
+        w[-1] = w[0]
+        v[:, -1] = v[:, 0]
 
 
 @pytest.mark.parametrize("kind, message", [
     ("eigenvalue", "residual"), ("mixed", "residual"),
-    ("scaled", "not orthonormal"), ("duplicate", "not orthonormal")])
+    ("scaled", "not orthonormal"), ("duplicate", "not orthonormal"),
+    ("duplicate-of-first", "not orthonormal")])
 def test_sliced_checks_catch_a_defect_in_the_last_slice(monkeypatch, kind,
                                                          message):
     matrix = _hermitian(300, 9)

@@ -143,6 +143,8 @@ def test_config_mapping_and_roundtrip(tmp_path):
     values = resolve("sample", load_config(path))
     assert values["L"] == 6 and values["q"] == [0, 2]
     assert values["samples"] == 50 and values["allow_large"] is True
+    for raw in ("off", "false", "no", "0"):
+        assert resolve("sample", {"allow_large": raw})["allow_large"] is False
     assert resolve("csyk", {"window": "0.25"})["window"] == 0.25
     for raw in ({"nonsense": "1"}, {"L": "abc"}, {"format": "xml"}):
         with pytest.raises(ConfigError):
@@ -719,43 +721,9 @@ def test_physical_memory_unknown_skips_the_check(sysconf):
     assert out == "inf\n"
 
 
-def test_clean_model_takes_one_realization(monkeypatch):
-    """xxz and mfim builders ignore the stream, so a second realization
-    would repeat the first: it is refused before any build or pool.  csyk
-    builds one Hamiltonian per realization."""
-    calls, made = [], []
-
-    def counted(build):
-        def wrapper(*args, **kwargs):
-            calls.append(build)
-            return build(*args, **kwargs)
-        return wrapper
-
-    class CountingPool(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    for name in ("build_csyk", "build_xxz_nnn", "build_mfim"):
-        monkeypatch.setattr(experiments, name,
-                            counted(getattr(experiments, name)))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
-    for model, qs in (("xxz", [0]), ("mfim", None)):
-        with pytest.raises(ConfigError, match=f"{model} is a clean model and "
-                                              f"takes one realization, got 2"):
-            experiments.run_disorder_sweep(model, 4, q=qs, realizations=2,
-                                           threads=2, fraction=0.5)
-    assert calls == [] and made == []
-    records, _ = experiments.run_disorder_sweep(
-        "csyk", 4, q=[0], realizations=3, threads=1, fraction=0.5)
-    assert len(calls) == 3
-    assert {rec.aux1 for rec in records} == {0.0, 1.0, 2.0}
-
-
-def test_disorder_sweep_refuses_couplings_the_builder_does_not_take(
-        monkeypatch):
-    """A coupling the model's builder does not take is refused before any
-    pool exists: csyk takes none, xxz and mfim only their own."""
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker pools that the test's runs make."""
     made = []
 
     class CountingPool(experiments.ProcessPoolExecutor):
@@ -764,6 +732,39 @@ def test_disorder_sweep_refuses_couplings_the_builder_does_not_take(
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+def test_clean_model_takes_one_realization(monkeypatch, pools):
+    """xxz and mfim builders ignore the stream, so a second realization
+    would repeat the first: it is refused before any build or pool.  csyk
+    builds one Hamiltonian per realization."""
+    calls = []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            calls.append(build)
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_csyk", "build_xxz_nnn", "build_mfim"):
+        monkeypatch.setattr(experiments, name,
+                            counted(getattr(experiments, name)))
+    for model, qs in (("xxz", [0]), ("mfim", None)):
+        with pytest.raises(ConfigError, match=f"{model} is a clean model and "
+                                              f"takes one realization, got 2"):
+            experiments.run_disorder_sweep(model, 4, q=qs, realizations=2,
+                                           threads=2, fraction=0.5)
+    assert calls == [] and pools == []
+    records, _ = experiments.run_disorder_sweep(
+        "csyk", 4, q=[0], realizations=3, threads=1, fraction=0.5)
+    assert len(calls) == 3
+    assert {rec.aux1 for rec in records} == {0.0, 1.0, 2.0}
+
+
+def test_disorder_sweep_refuses_couplings_the_builder_does_not_take(pools):
+    """A coupling the model's builder does not take is refused before any
+    pool exists: csyk takes none, xxz and mfim only their own."""
     for model, qs, coupling in (("csyk", [0], "J1"), ("xxz", [0], "g"),
                                 ("mfim", None, "J2")):
         with pytest.raises(ConfigError, match=f"{model} takes no coupling "
@@ -771,7 +772,23 @@ def test_disorder_sweep_refuses_couplings_the_builder_does_not_take(
             experiments.run_disorder_sweep(
                 model, 4, q=qs, realizations=130, threads=2, fraction=0.5,
                 **{coupling: 3.0})
-    assert made == []
+    assert pools == []
+
+
+@pytest.mark.parametrize("model, q, message", [
+    ("ising", [0], "unknown model 'ising'"),
+    ("mfim", [0], "mfim has no conserved charge; leave q unset"),
+])
+def test_disorder_sweep_refuses_unknown_model_and_charged_mfim(
+        monkeypatch, pools, model, q, message):
+    """Both are refused before any block is built or any pool exists."""
+    built = []
+    monkeypatch.setattr(experiments, "extract_sector_block",
+                        lambda *args: built.append(args))
+    with pytest.raises(ConfigError, match=message):
+        experiments.run_disorder_sweep(model, 4, q=q, realizations=1,
+                                       threads=2, fraction=0.5)
+    assert built == [] and pools == []
 
 
 def test_every_table_entry_binds_its_driver_by_key_name():
@@ -849,6 +866,29 @@ def test_cli_config_keys_checked(tmp_path, capsys, text, argv):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     _refused(capsys, ["--config", str(cfg)] + argv)
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (None, ["pe-check", "--q", "0", "--q", "2"], "q takes one value, got 2"),
+    (None, ["mixed", "--q", "0", "--q", "2", "--theta", "0.3"],
+     "q takes one value, got 2"),
+    ("experiment = nonsense\n", ["run"], "unknown experiment 'nonsense'"),
+    ("experiment = analytic mean\n", ["run"],
+     "unknown experiment 'analytic mean'"),
+    ("L = 2\nsamples = 2\nallow_large = maybe\n", ["sample"],
+     "not a boolean: 'maybe'"),
+], ids=["pe-check-q-twice", "mixed-q-twice", "run-nonsense", "run-analytic",
+        "allow-large-maybe"])
+def test_cli_refusal_names_its_cause(tmp_path, capsys, monkeypatch, text, argv,
+                                     message):
+    """A one-value key given twice as a flag, a run of an experiment that
+    `run` does not know and a bad boolean exit 2 before any draw."""
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    if text is not None:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        argv = ["--config", str(cfg)] + argv
+    assert message in _refused(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [

@@ -187,6 +187,8 @@ def test_pe_shannon_mean():
     sh = -np.sum(p * np.log2(p), axis=1)
     se = sh.std(ddof=1) / math.sqrt(n)
     assert abs(sh.mean() - pe_shannon_mean(d)) < 5 * se
+    with pytest.raises(ValueError):
+        pe_shannon_mean(0)
 
 
 def test_porter_thomas_density_properties():
