@@ -54,9 +54,9 @@ _EIG_TOL = 1e-10
 #: its temporaries stay a few tiles, not blocks
 _TILE = 128
 
-#: smallest and largest L of every builder: each kept eigenvector is
-#: embedded in 2^L amplitudes for the O(L 4^L) Pauli kernel, and 14 is also
-#: the sampling cap with allow_large
+#: smallest and largest L of every builder; the largest bounds every
+#: command, sampling too, since each state it measures has 2^L amplitudes
+#: for the O(L 4^L) Pauli kernel
 L_RANGE = (2, 14)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -31,12 +30,11 @@ from ..moments import (SectorError, analytic_moments, levy_variance_bound,
                        tilted_m2_bound)
 from ..sectors import Direction, sector_dimension
 from .config import ConfigError, load_config
-from .experiments import (_L_CAP_DEFAULT, _L_CAP_LARGE,
-                          run_asymptotic_collapse, run_disorder_sweep,
+from .experiments import (run_asymptotic_collapse, run_disorder_sweep,
                           run_ensemble_experiment, run_mixed_charge,
                           run_pe_check, run_self_averaging,
                           run_variance_convergence)
-from .records import _jsonable, write_csv, write_jsonl, write_summary
+from .records import dump_summary, write_csv, write_jsonl, write_summary
 
 #: default of a key that every run must set
 REQUIRED = object()
@@ -87,23 +85,11 @@ def _density(raw: str) -> float:
     return _check_density(_finite(raw))
 
 
-def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 # keys shared by several experiments
 SIZE = Key("L", _at_least(1), 8, "number of qubits")
 CHARGES = Key("q", int, (0,), "charge sector", many=True)
 CHARGE = CHARGES._replace(default=0, many=False)
 SAMPLES = Key("samples", int, 1000, "draws per sector")
-ALLOW_LARGE = Key("allow_large", _bool, False,
-                  f"raise the sampling cap from L <= {_L_CAP_DEFAULT} "
-                  f"to L <= {_L_CAP_LARGE}")
 SEED = Key("seed", int, 0, "root seed of the per-task random streams")
 THREADS = Key("threads", int, None,
               "worker processes (default SECTORMAGIC_THREADS, else the CPUs "
@@ -204,15 +190,13 @@ TABLE = {
          Key("frame", str, "z", "axis of the conserved charge",
              choices=("z", "x", "y")),
          Key("histogram_bins", _at_least(0), 200,
-             "bins of the Pauli-spectrum histogram (0: none)"),
-         ALLOW_LARGE) + IO,
+             "bins of the Pauli-spectrum histogram (0: none)")) + IO,
         run_ensemble_experiment),
     "variance-convergence": Experiment(
         "running moments vs exact values",
         (SIZE, CHARGES, SAMPLES,
          Key("checkpoints", int, (), "sample counts of the running moments "
-             "(default: logarithmic)", many=True),
-         ALLOW_LARGE) + IO,
+             "(default: logarithmic)", many=True)) + IO,
         run_variance_convergence),
     # xxz and mfim are clean models: they take one realization
     "csyk": _sweep("csyk", 100, ("fraction", 0.1)),
@@ -221,7 +205,7 @@ TABLE = {
                    coupling_help="mfim field"),
     "mixed": Experiment(
         "tilted-axis theta sweep",
-        (SIZE, CHARGE, THETAS, PHI, SAMPLES, ALLOW_LARGE) + IO,
+        (SIZE, CHARGE, THETAS, PHI, SAMPLES) + IO,
         run_mixed_charge),
     "collapse": Experiment(
         "exact vs asymptotic residuals",
@@ -236,7 +220,7 @@ TABLE = {
         run_self_averaging),
     "pe-check": Experiment(
         "participation-entropy statistics",
-        (SIZE, CHARGE, SAMPLES, ALLOW_LARGE) + IO,
+        (SIZE, CHARGE, SAMPLES) + IO,
         run_pe_check),
     "run": Experiment("run the experiment named in --config (default sample)",
                       IO, None),
@@ -265,13 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
             flag = key.flag or "--" + key.name.replace("_", "-")
             helptext = key.help + (" (required)" if key.default is REQUIRED
                                    else " (repeatable)" if key.many else "")
-            if key.parse is _bool:
-                sp.add_argument(flag, dest=key.name, action="store_const",
-                                const=["true"], help=helptext)
-            else:
-                sp.add_argument(flag, dest=key.name, action="append",
-                                metavar="{%s}" % ",".join(key.choices)
-                                if key.choices else None, help=helptext)
+            sp.add_argument(flag, dest=key.name, action="append",
+                            metavar="{%s}" % ",".join(key.choices)
+                            if key.choices else None, help=helptext)
     return p
 
 
@@ -333,9 +313,7 @@ def _emit(result, values: dict, stdout) -> None:
             else:
                 write_csv(records, values["out"] + ".csv")
             write_summary(result, values["out"] + ".summary.json")
-    json.dump(_jsonable(result), stdout, indent=2, sort_keys=True,
-              allow_nan=False)
-    stdout.write("\n")
+    dump_summary(result, stdout)
 
 
 def main(argv=None) -> int:

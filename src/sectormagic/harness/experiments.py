@@ -74,8 +74,6 @@ __all__ = [
 #: floating-point reduction orders) never depend on the worker count
 CHUNK = 64
 
-_L_CAP_DEFAULT = 12
-_L_CAP_LARGE = 14
 #: peak memory of assembling and diagonalizing a dense block over its own
 #: bytes (3.1-4.0 measured: mfim full space d = 1024-4096, csyk d = 1024-3432)
 _DENSE_COPIES = 5
@@ -110,7 +108,7 @@ def resolve_threads(flag: int | None = None) -> int:
 def _size_check(Ls, qs, L_range, what: str) -> dict:
     """Refuse, before any work, an L outside L_range and an empty sector;
     (L, q) -> dimension of every block, q None being the full 2^L space.
-    Sampling needs no dimension cap: its L cap bounds a sector at
+    Sampling needs no dimension cap: its L range bounds a sector at
     C(14, 7) = 3432 states."""
     lo, hi = L_range
     dims = {}
@@ -139,12 +137,6 @@ def _fraction_check(fraction):
     """Refuse, before any work, a band fraction outside [0, 1]."""
     if fraction is not None and not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"fraction must be in [0, 1], got {fraction}")
-
-
-def _budget_check(L: int, qs, allow_large: bool):
-    cap = _L_CAP_LARGE if allow_large else _L_CAP_DEFAULT
-    _size_check([L], qs, (1, cap),
-                "sampling" if allow_large else "sampling without allow_large")
 
 
 def _z_score(stats: SummaryStats, exact: float, d: int):
@@ -343,12 +335,12 @@ _SAMPLE_OBS = ("xi2", "m2", "s2", "shannon_pe")
 
 
 def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
-                            histogram_bins=200, allow_large=False):
+                            histogram_bins=200):
     """Sample the charge-constrained Haar ensemble of each sector in q and
     stream stabilizer purity / entropy and participation entropies per
     sample, with the exact ensemble moments attached for comparison."""
     qs = list(q)
-    _budget_check(L, qs, allow_large)
+    _size_check([L], qs, (1, L_RANGE[1]), "sampling")
     if histogram_bins * len(qs) * _HIST_BIN_BYTES > _PHYSICAL_MEMORY:
         raise ConfigError(f"{histogram_bins} histogram bins per sector do not "
                           f"fit in physical memory")
@@ -397,11 +389,13 @@ def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
 
 
 def run_variance_convergence(L, q, samples, seed=0, threads=None,
-                             checkpoints=None, allow_large=False):
+                             checkpoints=None):
     """Running mean/variance of Xi_2 against the exact moments of each
     sector in q at checkpoints up to samples (default logarithmic)."""
     qs = list(q)
-    _budget_check(L, qs, allow_large)
+    _size_check([L], qs, (1, L_RANGE[1]), "sampling")
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2, got {samples}")
     if not checkpoints:
         checkpoints = [c for c in (100, 300, 1000, 3000, 10000, 30000, 100000)
                        if c < samples]
@@ -459,12 +453,11 @@ def run_variance_convergence(L, q, samples, seed=0, threads=None,
 # tilted-frame sweep
 # ---------------------------------------------------------------------------
 
-def run_mixed_charge(L, q, theta, samples, seed=0, phi=0.0, threads=None,
-                     allow_large=False):
+def run_mixed_charge(L, q, theta, samples, seed=0, phi=0.0, threads=None):
     """Constrain the charge along a tilted axis n(theta, phi) for each theta
     and compare the sampled mean Xi_2 against the extended-precision tilted
     prediction."""
-    _budget_check(L, [q], allow_large)
+    _size_check([L], [q], (1, L_RANGE[1]), "sampling")
     thetas = [float(t) for t in theta]
     d = sector_dimension(L, q)
 
@@ -508,7 +501,7 @@ def run_mixed_charge(L, q, theta, samples, seed=0, phi=0.0, threads=None,
 # disorder ensembles
 # ---------------------------------------------------------------------------
 
-def run_disorder_sweep(model, L, q=None, realizations=100, seed=0,
+def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
                        threads=None, window=None, fraction=None, **couplings):
     """Mid-spectrum stabilizer entropy across disorder realizations of one
     Hamiltonian family, pooled per charge sector in q.
@@ -704,10 +697,10 @@ def run_asymptotic_collapse(L_values, s_values, seed=0):
 _PE_OBS = ("ipr2", "s2", "shannon_pe", "probe")
 
 
-def run_pe_check(L, q, samples, seed=0, threads=None, allow_large=False):
+def run_pe_check(L, q, samples, seed=0, threads=None):
     """Participation-entropy statistics of the constrained ensemble against
     the exact Dirichlet moments and the one-component Porter-Thomas law."""
-    _budget_check(L, [q], allow_large)
+    _size_check([L], [q], (1, L_RANGE[1]), "sampling")
     d = sector_dimension(L, q)
     ((rows, _),) = _haar_draws([(f"pe:L={L}:q={q}", samples, q, "z")],
                                seed, threads, L, _PE_OBS)

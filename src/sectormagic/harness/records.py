@@ -87,8 +87,14 @@ def _jsonable(obj):
     return obj
 
 
+def dump_summary(summary, fh) -> None:
+    """The one summary text, printed or written: sorted, indented JSON
+    with no NaN or infinity, and a final newline."""
+    json.dump(_jsonable(summary), fh, indent=2, sort_keys=True,
+              allow_nan=False)
+    fh.write("\n")
+
+
 def write_summary(summary: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+        dump_summary(summary, fh)

@@ -139,12 +139,14 @@ def test_parse_config_text():
 
 def test_config_mapping_and_roundtrip(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("L = 6\nq = 0,2\nsamples = 50\nallow_large = true\n")
+    path.write_text("L = 6\nq = 0,2\nsamples = 50\n")
     values = resolve("sample", load_config(path))
     assert values["L"] == 6 and values["q"] == [0, 2]
-    assert values["samples"] == 50 and values["allow_large"] is True
-    for raw in ("off", "false", "no", "0"):
-        assert resolve("sample", {"allow_large": raw})["allow_large"] is False
+    assert values["samples"] == 50
+    for raw in ("true", "off"):
+        with pytest.raises(ConfigError,
+                           match="sample does not read allow_large"):
+            resolve("sample", {"allow_large": raw})
     assert resolve("csyk", {"window": "0.25"})["window"] == 0.25
     for raw in ({"nonsense": "1"}, {"L": "abc"}, {"format": "xml"}):
         with pytest.raises(ConfigError):
@@ -170,9 +172,9 @@ DEFAULTS = {
     "analytic asymptotic": {"s": 0.5},
     "analytic tilted": {"L": 4, "q": 0, "theta": 0.3, "phi": 0.0},
     "sample": {"L": 8, "q": [0], "samples": 1000, "frame": "z",
-               "histogram_bins": 200, "allow_large": False},
+               "histogram_bins": 200},
     "variance-convergence": {"L": 8, "q": [0], "samples": 1000,
-                             "checkpoints": [], "allow_large": False},
+                             "checkpoints": []},
     "csyk": {"L": 8, "q": [0], "realizations": 100, "window": None,
              "fraction": 0.1},
     "xxz": {"L": 8, "q": [0], "realizations": 1, "window": 0.25,
@@ -180,13 +182,12 @@ DEFAULTS = {
             "h_x": 0.0},
     "mfim": {"L": 8, "realizations": 1, "window": None, "fraction": 0.1,
              "g": 1.1, "h": 0.35, "h1": 0.25, "hL": -0.25},
-    "mixed": {"L": 8, "q": 0, "theta": [0.3], "phi": 0.0, "samples": 1000,
-              "allow_large": False},
+    "mixed": {"L": 8, "q": 0, "theta": [0.3], "phi": 0.0, "samples": 1000},
     "collapse": {"L_values": [6, 8, 10], "s_values": [0.0, 0.25, 0.5],
                  "seed": 0, "out": None, "format": "csv"},
     "self-averaging": {"L_values": [6, 8, 10], "realizations": 50,
                        "fraction": 0.1},
-    "pe-check": {"L": 8, "q": 0, "samples": 1000, "allow_large": False},
+    "pe-check": {"L": 8, "q": 0, "samples": 1000},
 }
 REQUIRED_FLAGS = {
     "analytic mean": {"L": ["4"], "q": ["0"]},
@@ -236,11 +237,25 @@ def test_resolve_threads(monkeypatch):
 
 def test_sampling_budget_guard():
     with pytest.raises(ConfigError):
-        run_ensemble_experiment(13, [1], 4, threads=1)
-    with pytest.raises(ConfigError):
-        run_ensemble_experiment(15, [1], 4, threads=1, allow_large=True)
+        run_ensemble_experiment(15, [1], 4, threads=1)
     with pytest.raises(ConfigError):
         run_ensemble_experiment(4, [1], 4, threads=1)  # empty sector
+
+
+@pytest.mark.parametrize("run", [
+    lambda L: run_ensemble_experiment(L, [1], 2, threads=1),
+    lambda L: run_variance_convergence(L, [1], 2, threads=1),
+    lambda L: run_mixed_charge(L, 1, [0.3], 2, threads=1),
+    lambda L: run_pe_check(L, 1, 2, threads=1),
+], ids=["sample", "variance-convergence", "mixed", "pe-check"])
+def test_sampling_drivers_share_the_model_L_range(monkeypatch, run):
+    """Every sampling driver takes L up to the models' largest L and
+    refuses L = 15, before any draw."""
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    for L in (0, 15):
+        with pytest.raises(ConfigError, match=f"sampling supports "
+                                              f"1 <= L <= 14, got L={L}"):
+            run(L)
 
 
 def test_ensemble_experiment_structure():
@@ -577,7 +592,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     code, _, _ = run_cli(capsys, ["mixed", "--L", "2", "--q", "0",
                                   "--samples", "4"])
     assert code == 2  # no theta given
-    code, _, _ = run_cli(capsys, ["sample", "--L", "13", "--q", "1",
+    code, _, _ = run_cli(capsys, ["sample", "--L", "15", "--q", "1",
                                   "--samples", "2"])
     assert code == 2  # over the size cap
     # numerical contract violation: transverse field breaks the charge
@@ -876,19 +891,56 @@ def test_cli_config_keys_checked(tmp_path, capsys, text, argv):
     ("experiment = analytic mean\n", ["run"],
      "unknown experiment 'analytic mean'"),
     ("L = 2\nsamples = 2\nallow_large = maybe\n", ["sample"],
-     "not a boolean: 'maybe'"),
+     "sample does not read allow_large"),
+    (None, ["variance-convergence", "--L", "4", "--samples", "1"],
+     "samples must be >= 2, got 1"),
 ], ids=["pe-check-q-twice", "mixed-q-twice", "run-nonsense", "run-analytic",
-        "allow-large-maybe"])
+        "allow-large-maybe", "variance-convergence-one-sample"])
 def test_cli_refusal_names_its_cause(tmp_path, capsys, monkeypatch, text, argv,
                                      message):
     """A one-value key given twice as a flag, a run of an experiment that
-    `run` does not know and a bad boolean exit 2 before any draw."""
+    `run` does not know, a key the experiment does not read and a
+    variance-convergence run of one sample exit 2 before any draw."""
     monkeypatch.setattr(experiments, "_dispatch", None)
     if text is not None:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text)
         argv = ["--config", str(cfg)] + argv
     assert message in _refused(capsys, argv)
+
+
+class _Dispatched(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--q", "{q}", "--samples", "2"],
+    ["variance-convergence", "--q", "{q}", "--samples", "2"],
+    ["mixed", "--q", "{q}", "--theta", "0.3", "--samples", "2"],
+    ["pe-check", "--q", "{q}", "--samples", "2"],
+], ids=lambda argv: argv[0])
+def test_cli_sampling_takes_L_up_to_14_with_no_flag(capsys, monkeypatch, argv):
+    """L = 13 and 14 pass every check of the sampling commands and reach
+    the dispatcher (patched out, so no draw runs); --allow-large is gone."""
+    def dispatch(*args):
+        raise _Dispatched
+    monkeypatch.setattr(experiments, "_dispatch", dispatch)
+    for L, q in ((13, 1), (14, 0)):
+        with pytest.raises(_Dispatched):
+            main([arg.format(q=q) for arg in argv]
+                 + ["--L", str(L), "--threads", "1"])
+    code, _, err = run_cli(capsys, [arg.format(q=0) for arg in argv]
+                           + ["--L", "8", "--allow-large"])
+    assert code == 2 and "unrecognized arguments: --allow-large" in err
+
+
+@pytest.mark.parametrize("model, q", [("xxz", [0]), ("mfim", None)])
+def test_disorder_sweep_default_realizations_run_every_model(model, q):
+    """The driver's default of one realization is one every model takes,
+    the clean models too."""
+    _, summary = experiments.run_disorder_sweep(model, 6, q=q, window=0.25,
+                                                threads=1)
+    assert summary["realizations"] == 1
 
 
 @pytest.mark.parametrize("argv", [
