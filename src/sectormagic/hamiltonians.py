@@ -321,6 +321,7 @@ def embed_eigenvector(v: np.ndarray, basis: SectorBasisMap) -> np.ndarray:
 def diagonalize(matrix: np.ndarray) -> EigenSystem:
     """Full Hermitian eigendecomposition with deterministic phases.
 
+    A non-finite entry is refused before eigh, which cannot take one.
     Each eigenvector is rotated so its largest-modulus component (first
     index on ties) is real positive.  Residual ||Hv - Ev|| <= 1e-10 ||H||
     and orthonormality to 1e-10 are enforced.  The checks and the phase
@@ -334,8 +335,12 @@ def diagonalize(matrix: np.ndarray) -> EigenSystem:
     slices = [slice(s, s + _TILE) for s in range(0, Hm.shape[1], _TILE)]
     delta = big = 0.0
     for s in slices:
+        # np.max passes a NaN on, where the Python max below drops it
+        col_max = float(np.max(np.abs(Hm[:, s])))
+        if not math.isfinite(col_max):
+            raise NumericalContractError("matrix has a non-finite entry")
         delta = max(delta, float(np.max(np.abs(Hm[:, s] - Hm[s].conj().T))))
-        big = max(big, float(np.max(np.abs(Hm[:, s]))))
+        big = max(big, col_max)
     if delta > _HERMITICITY_TOL * max(1.0, big):
         raise NumericalContractError("matrix is not Hermitian")
     evals, evecs = scipy.linalg.eigh(Hm)

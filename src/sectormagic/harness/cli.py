@@ -271,6 +271,8 @@ def _read(key: Key, raws: list):
         if key.choices and value not in key.choices:
             raise ConfigError(f"{key.name} must be one of "
                               f"{', '.join(key.choices)}, got {value!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key.name} repeats a value")
     return values if key.many else values[0]
 
 

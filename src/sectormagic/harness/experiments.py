@@ -80,6 +80,10 @@ _DENSE_COPIES = 5
 #: peak memory of a sample run per histogram bin and sector, in bytes
 #: (103-113 measured in the main process, 121 summed over it and two workers)
 _HIST_BIN_BYTES = 160
+#: peak memory of a sampling run per sample, in bytes: its stream key, its
+#: row and its records (464-908 measured for sample, mixed and pe-check at
+#: L = 2 between 5e4 and 1e5 samples, one and two workers)
+_SAMPLE_BYTES = 1200
 try:  # bytes of physical memory; inf where os.sysconf cannot tell
     _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):
@@ -122,15 +126,17 @@ def _size_check(Ls, qs, L_range, what: str) -> dict:
     return dims
 
 
-def _block_check(Ls, qs, model: str):
+def _block_check(Ls, qs, model: str) -> dict:
     """_size_check of a disorder run, then refuse a block too large to
     diagonalize in physical memory (_DENSE_COPIES times its bytes; csyk
-    blocks are complex)."""
+    blocks are complex); (L, q) -> dimension of every block."""
     per_entry = _DENSE_COPIES * (16 if model == "csyk" else 8)
-    for (L, q), d in _size_check(Ls, qs, L_RANGE, model).items():
+    dims = _size_check(Ls, qs, L_RANGE, model)
+    for (L, q), d in dims.items():
         if per_entry * d * d > _PHYSICAL_MEMORY:
             raise ConfigError(f"sector (L={L}, q={q}) of dimension {d} is "
                               f"too large to diagonalize in physical memory")
+    return dims
 
 
 def _fraction_check(fraction):
@@ -271,16 +277,24 @@ def _participation(weights, support, probe: int, basis, observables):
 
 
 def _haar_draws(jobs, seed, threads, L, observables, hist_bins=0):
-    """Per (exp_id, samples, q, frame) job in jobs: all rows of its
-    sector-Haar draws at size L in task order, and their pooled histogram
-    (None without bins)."""
+    """Per (exp_id, samples, q, frame) job in jobs: the dimension of its
+    sector, all rows of its sector-Haar draws at size L in task order, and
+    their pooled histogram (None without bins).  Refuses, before any draw,
+    an L outside 1..L_RANGE[1], an empty sector and more samples than fit
+    in physical memory (_SAMPLE_BYTES each)."""
+    qs = [q for _, _, q, _ in jobs]
+    dims = _size_check([L], qs, (1, L_RANGE[1]), "sampling")
+    total = sum(samples for _, samples, _, _ in jobs)
+    if total * _SAMPLE_BYTES > _PHYSICAL_MEMORY:
+        raise ConfigError(f"{total} samples do not fit in physical memory")
+    per_job = _dispatch(_haar_chunk, [
+        (exp_id, samples, L, q, frame, observables, hist_bins)
+        for exp_id, samples, q, frame in jobs], seed, threads)
     out = []
-    for chunks in _dispatch(_haar_chunk, [
-            (exp_id, samples, L, q, frame, observables, hist_bins)
-            for exp_id, samples, q, frame in jobs], seed, threads):
+    for q, chunks in zip(qs, per_job):
         rows = np.concatenate([vals for vals, _ in chunks])
         hist = sum(h for _, h in chunks) if hist_bins else None
-        out.append((rows, hist))
+        out.append((dims[L, q], rows, hist))
     return out
 
 
@@ -295,9 +309,9 @@ _CLEAN_MODELS = frozenset({"xxz", "mfim"})
 
 def _disorder_chunk(args):
     """Disorder realizations, one per stream key, in task order: per
-    realization a list with one cell per sector holding the m2 of each kept
-    mid-spectrum eigenstate, their energy densities, the gap ratio and
-    whether the block is zero.  q None means the full space."""
+    realization a list with one cell per sector in qs, holding the m2 of
+    each kept mid-spectrum eigenstate, their energy densities, the gap ratio
+    and whether the block is zero.  q None means the full space."""
     keys, model, L, qs, params, window, fraction = args
     out = []
     for key in keys:
@@ -315,8 +329,6 @@ def _disorder_chunk(args):
                 xi2 = pauli_spectrum(psi, (2.0,)).purity(2.0)
                 m2s[n] = 0.0 - math.log2(xi2)
             row.append({
-                "q": q,
-                "dim": es.dimension,
                 "m2": m2s,
                 "e_density": es.values[keep] / L,
                 "gap_ratio": adjacent_gap_ratio(es.values),
@@ -340,7 +352,6 @@ def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
     stream stabilizer purity / entropy and participation entropies per
     sample, with the exact ensemble moments attached for comparison."""
     qs = list(q)
-    _size_check([L], qs, (1, L_RANGE[1]), "sampling")
     if histogram_bins * len(qs) * _HIST_BIN_BYTES > _PHYSICAL_MEMORY:
         raise ConfigError(f"{histogram_bins} histogram bins per sector do not "
                           f"fit in physical memory")
@@ -350,7 +361,7 @@ def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
          for q in qs], seed, threads, L, _SAMPLE_OBS, histogram_bins)
     records = []
     sectors = {}
-    for q, (rows, hist) in zip(qs, draws):
+    for q, (d, rows, hist) in zip(qs, draws):
         stats = {obs: SummaryStats() for obs in _SAMPLE_OBS}
         for task, row in enumerate(rows):
             for obs, value in zip(_SAMPLE_OBS, row):
@@ -358,7 +369,6 @@ def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
                                          float(value)))
                 stats[obs].update(value)
 
-        d = sector_dimension(L, q)
         sector = {
             "dimension": d,
             "observed": {obs: st.to_dict() for obs, st in stats.items()},
@@ -393,7 +403,6 @@ def run_variance_convergence(L, q, samples, seed=0, threads=None,
     """Running mean/variance of Xi_2 against the exact moments of each
     sector in q at checkpoints up to samples (default logarithmic)."""
     qs = list(q)
-    _size_check([L], qs, (1, L_RANGE[1]), "sampling")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
     if not checkpoints:
@@ -410,8 +419,7 @@ def run_variance_convergence(L, q, samples, seed=0, threads=None,
                          for q in qs], seed, threads, L, ("xi2",))
     records = []
     sectors = {}
-    for q, (xi2s, _) in zip(qs, draws):
-        d = sector_dimension(L, q)
+    for q, (d, xi2s, _) in zip(qs, draws):
         exact_mean = float(mean_sp2(L, q))
         exact_var = float(variance_sp2(L, q))
         stats = SummaryStats()
@@ -457,9 +465,7 @@ def run_mixed_charge(L, q, theta, samples, seed=0, phi=0.0, threads=None):
     """Constrain the charge along a tilted axis n(theta, phi) for each theta
     and compare the sampled mean Xi_2 against the extended-precision tilted
     prediction."""
-    _size_check([L], [q], (1, L_RANGE[1]), "sampling")
     thetas = [float(t) for t in theta]
-    d = sector_dimension(L, q)
 
     directions = [Direction.from_angles(theta, phi) for theta in thetas]
     draws = _haar_draws([(f"mixed:L={L}:q={q}:t={ti}", samples, q, direction)
@@ -468,7 +474,7 @@ def run_mixed_charge(L, q, theta, samples, seed=0, phi=0.0, threads=None):
     records = []
     sweep = []
     task = 0
-    for theta, direction, (rows, _) in zip(thetas, directions, draws):
+    for theta, direction, (d, rows, _) in zip(thetas, directions, draws):
         analytic = mean_sp2_tilted(L, q, direction)
         stats = SummaryStats()
         for xi2, m2 in rows:
@@ -528,7 +534,7 @@ def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
     qs = [None] if q is None else list(q)
     if model == "mfim" and qs != [None]:
         raise ConfigError("mfim has no conserved charge; leave q unset")
-    _block_check([L], qs, model)
+    dims = _block_check([L], qs, model)
     params = tuple(sorted(couplings.items()))
 
     (chunks,) = _dispatch(_disorder_chunk, [
@@ -536,14 +542,12 @@ def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
          fraction)], seed, threads)
 
     records = []
-    pooled = {q: {"m2": SummaryStats(), "gap": SummaryStats(),
-                  "zero": 0, "dim": None} for q in qs}
+    pooled = {q: {"m2": SummaryStats(), "gap": SummaryStats(), "zero": 0}
+              for q in qs}
     task = 0
     for r, row in enumerate(row for chunk in chunks for row in chunk):
-        for cell in row:
-            q = cell["q"]
+        for q, cell in zip(qs, row):
             agg = pooled[q]
-            agg["dim"] = cell["dim"]
             agg["zero"] += bool(cell["block_zero"])
             if math.isfinite(cell["gap_ratio"]):
                 agg["gap"].update(cell["gap_ratio"])
@@ -561,7 +565,7 @@ def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
         bound = full_bound if q is None else m2_mean_bound(L, q)
         stats = agg["m2"]
         sectors["all" if q is None else str(q)] = {
-            "dimension": agg["dim"],
+            "dimension": dims[L, q],
             "eigenstates": stats.count,
             "m2": stats.to_dict(),
             "m2_mean_bound": bound,
@@ -591,9 +595,9 @@ def run_self_averaging(L_values=(6, 8, 10), realizations=50, seed=0,
     fluctuation."""
     _fraction_check(fraction)
     q = 0  # half filling / zero magnetization
-    _block_check(L_values, [q], "csyk")
+    dims = _block_check(L_values, [q], "csyk")
     for L in L_values:
-        d = sector_dimension(L, q)
+        d = dims[L, q]
         if round(fraction * d) == 0:
             raise ConfigError(
                 f"fraction {fraction} keeps no eigenstate of the L={L}, "
@@ -700,10 +704,8 @@ _PE_OBS = ("ipr2", "s2", "shannon_pe", "probe")
 def run_pe_check(L, q, samples, seed=0, threads=None):
     """Participation-entropy statistics of the constrained ensemble against
     the exact Dirichlet moments and the one-component Porter-Thomas law."""
-    _size_check([L], [q], (1, L_RANGE[1]), "sampling")
-    d = sector_dimension(L, q)
-    ((rows, _),) = _haar_draws([(f"pe:L={L}:q={q}", samples, q, "z")],
-                               seed, threads, L, _PE_OBS)
+    ((d, rows, _),) = _haar_draws([(f"pe:L={L}:q={q}", samples, q, "z")],
+                                  seed, threads, L, _PE_OBS)
 
     records = []
     ipr_stats = SummaryStats()

@@ -54,12 +54,12 @@ def _philox_at(bitgen: np.random.Philox, key: int) -> np.random.Philox:
     return bitgen
 
 
-def _uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _uniforms(raw: np.ndarray) -> np.ndarray:
     """Doubles uniform on (0, 1] from raw 64-bit draws (left-open so log is
-    always finite), in out if given; raw is overwritten."""
+    always finite); raw is overwritten."""
     raw >>= 11
     raw += 1
-    return np.multiply(raw, 2.0 ** -53, out=out)
+    return raw * 2.0 ** -53
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
@@ -151,32 +151,15 @@ def constrained_haar_state(L: int, q: int, frame="z", seed=0) -> np.ndarray:
     return psi
 
 
-#: dtype -> this process's buffer of raw draws or uniforms, grown on demand
-_draw_buffers: dict = {}
-
-
-def _draw_buffer(dtype, shape) -> np.ndarray:
-    size = math.prod(shape)
-    buf = _draw_buffers.get(dtype)
-    if buf is None or buf.size < size:
-        _draw_buffers[dtype] = None  # free the old buffer first
-        buf = _draw_buffers[dtype] = np.empty(size, dtype=dtype)
-    return buf[:size].reshape(shape)
-
-
 def sector_haar_coefficients(keys, d: int) -> np.ndarray:
     """(len(keys), d) coefficients of Haar-random states of a d-state
     sector on its basis, row i drawn from the stream keyed keys[i]: bitwise
     the coefficients constrained_haar_state draws from GaussianStream(key).
-
-    The raw draws and uniforms go to buffers that the next call reuses;
-    the returned block is a fresh array.
     """
     if d < 1:
         raise SectorError("empty sector")
     bitgen = np.random.Philox(0)
-    raw = _draw_buffer(np.uint64, (len(keys), 2 * d))
+    raw = np.empty((len(keys), 2 * d), dtype=np.uint64)
     for row, key in zip(raw, keys):
         row[:] = _philox_at(bitgen, key).random_raw(2 * d)
-    u = _uniforms(raw, out=_draw_buffer(np.float64, raw.shape))
-    return _normalize_rows(_box_muller(u))
+    return _normalize_rows(_box_muller(_uniforms(raw)))

@@ -381,6 +381,18 @@ def test_sliced_hermiticity_check_catches_the_last_slice():
         diagonalize(matrix)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_diagonalize_refuses_a_non_finite_entry(monkeypatch, entry):
+    """A NaN or infinite entry, in the last slice too, is refused before
+    eigh, which would raise a bare ValueError."""
+    monkeypatch.setattr(scipy.linalg, "eigh", None)
+    for n, (i, j) in ((2, (0, 0)), (300, (299, 290))):
+        matrix = _hermitian(n, 9)
+        matrix[i, j] = matrix[j, i] = entry
+        with pytest.raises(NumericalContractError, match="non-finite entry"):
+            diagonalize(matrix)
+
+
 def test_midspectrum_filter_window_and_fraction():
     evals = np.array([-3.0, -1.0, -0.2, 0.1, 2.0])
     np.testing.assert_array_equal(

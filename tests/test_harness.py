@@ -720,6 +720,34 @@ def test_histogram_beyond_physical_memory_refused(capsys, monkeypatch):
         assert "histogram bins per sector do not fit in physical memory" in err
 
 
+def test_samples_beyond_physical_memory_refused(capsys, monkeypatch):
+    """A sampling run whose samples, summed over its sectors or angles,
+    would not fit in physical memory exits 2 before any stream key is
+    made."""
+    monkeypatch.setattr(experiments, "_PHYSICAL_MEMORY",
+                        10 * experiments._SAMPLE_BYTES)
+    code, _, _ = run_cli(capsys, ["sample", "--L", "2", "--q", "0",
+                                  "--samples", "10", "--histogram-bins", "0",
+                                  "--threads", "1"])
+    assert code == 0
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    for argv in (["sample", "--q", "0", "--samples", "11",
+                  "--histogram-bins", "0"],
+                 ["sample", "--q", "0", "--q", "2", "--samples", "6",
+                  "--histogram-bins", "0"],
+                 ["variance-convergence", "--q", "0", "--samples", "11"],
+                 ["mixed", "--q", "0", "--theta", "0.3", "--theta", "0.7",
+                  "--samples", "6"],
+                 ["pe-check", "--q", "0", "--samples", "11"]):
+        err = _refused(capsys, argv + ["--L", "2", "--threads", "1"])
+        assert "samples do not fit in physical memory" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    err = _refused(capsys, ["sample", "--L", "2", "--q", "0",
+                            "--samples", "100000000000"])
+    assert "100000000000 samples do not fit in physical memory" in err
+
+
 @pytest.mark.parametrize("sysconf", [
     "del os.sysconf",
     "os.sysconf = lambda name: (_ for _ in ()).throw(ValueError(name))",
@@ -907,6 +935,43 @@ def test_cli_refusal_names_its_cause(tmp_path, capsys, monkeypatch, text, argv,
         cfg.write_text(text)
         argv = ["--config", str(cfg)] + argv
     assert message in _refused(capsys, argv)
+
+
+@pytest.mark.parametrize("text, argv, key", [
+    (None, ["csyk", "--L", "4", "--q", "0", "--q", "0"], "q"),
+    (None, ["sample", "--L", "2", "--q", "0", "--q", "0"], "q"),
+    ("q = 0, 2, 0\n", ["variance-convergence", "--L", "2"], "q"),
+    (None, ["self-averaging", "--L", "4", "--L", "4"], "L_values"),
+    (None, ["mixed", "--L", "2", "--theta", "0.3", "--theta", "0.30"],
+     "theta"),
+    (None, ["collapse", "--L", "4", "--s", "0.25,0.25"], "s_values"),
+    ("checkpoints = 5,5\n",
+     ["variance-convergence", "--L", "2", "--samples", "10"], "checkpoints"),
+], ids=["csyk-q", "sample-q", "config-q", "self-averaging-L", "mixed-theta",
+        "collapse-s", "config-checkpoints"])
+def test_cli_repeated_list_value_refused(tmp_path, capsys, monkeypatch, text,
+                                         argv, key):
+    """A list key that names one value twice, from flags or a config file,
+    exits 2 before any draw: the repeat would pool the same streams twice."""
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    if text is not None:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        argv = ["--config", str(cfg)] + argv
+    assert f"{key} repeats a value" in _refused(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["xxz", "--L", "4", "--q", "0", "--J1", "1e308"],
+    ["mfim", "--L", "4", "--h", "1e308", "--h1", "1e308"],
+], ids=["xxz", "mfim"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_overflowing_block_exits_3(capsys, argv):
+    """Finite couplings whose block overflows exit 3, not with a traceback
+    from eigh."""
+    code, out, err = run_cli(capsys, argv + ["--threads", "1"])
+    assert code == 3 and out == ""
+    assert "matrix has a non-finite entry" in err
 
 
 class _Dispatched(Exception):
