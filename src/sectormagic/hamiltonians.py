@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .sectors import SectorBasisMap, enumerate_sector
 from .sampler import GaussianStream, SeedPolicy
@@ -310,7 +309,10 @@ def extract_sector_block(H: Hamiltonian, q):
     NumericalContractError; an absent charge raises ValueError.
     """
     basis = _sector_basis(H.model, H.L, q)
-    return _BLOCKS[H.model](H, basis), basis
+    # finite couplings can overflow an entry; diagonalize is the one place
+    # that reports a non-finite block
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _BLOCKS[H.model](H, basis), basis
 
 
 def embed_eigenvector(v: np.ndarray, basis: SectorBasisMap) -> np.ndarray:
@@ -343,7 +345,10 @@ def diagonalize(matrix: np.ndarray) -> EigenSystem:
         big = max(big, col_max)
     if delta > _HERMITICITY_TOL * max(1.0, big):
         raise NumericalContractError("matrix is not Hermitian")
-    evals, evecs = scipy.linalg.eigh(Hm)
+    import scipy.linalg  # here, so commands that never diagonalize skip it
+
+    # the scan above has read every entry; eigh need not read them again
+    evals, evecs = scipy.linalg.eigh(Hm, check_finite=False)
     for s in slices:
         v = evecs[:, s]
         lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]

@@ -1,5 +1,6 @@
-"""Experiment harness: streaming statistics, record/CSV export, config
-parsing, deterministic parallel experiment drivers and the command line."""
+"""Experiment harness: streaming statistics and the KS test, record/CSV
+export, config parsing, deterministic parallel experiment drivers and the
+command line."""
 
 from .stats import SummaryStats
 from .records import (

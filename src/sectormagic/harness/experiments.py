@@ -23,7 +23,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import scipy.stats
 
 from ..sectors import (Direction, apply_frame_rotation, enumerate_sector,
                        sector_dimension)
@@ -57,7 +56,7 @@ from ..hamiltonians import (
 )
 from .config import ConfigError
 from .records import RunRecord
-from .stats import SummaryStats
+from .stats import SummaryStats, ks_two_sided
 
 __all__ = [
     "resolve_threads",
@@ -722,7 +721,7 @@ def run_pe_check(L, q, samples, seed=0, threads=None):
     sh_exact = pe_shannon_mean(d)
     # the Porter-Thomas law of a one-state sector is a point mass at w = 1
     ks = (None if samples < 2 or d == 1 else
-          scipy.stats.kstest(rows[:, 3], lambda w: porter_thomas_cdf(w, d)))
+          ks_two_sided(rows[:, 3], lambda w: porter_thomas_cdf(w, d)))
     summary = {
         "experiment": "pe-check",
         "seed": seed,
@@ -741,8 +740,8 @@ def run_pe_check(L, q, samples, seed=0, threads=None):
             "mean_z": _z_score(sh_stats, sh_exact, d),
         },
         "porter_thomas": {
-            "ks_statistic": None if ks is None else float(ks.statistic),
-            "ks_pvalue": None if ks is None else float(ks.pvalue),
+            "ks_statistic": None if ks is None else ks[0],
+            "ks_pvalue": None if ks is None else ks[1],
         },
     }
     return records, summary

@@ -11,7 +11,7 @@ its own last-axis `fwht_last_axis`, `haar_chunk_per_state`,
 `k4_numerator_transcribed` and `tilted_row_sums_transcribed`, whose output
 the package must equal exactly.  `haar_state`, `charge_expectation`,
 `kravchuk_J` and `porter_thomas_pdf` are small references that only the
-tests use.  The rejected readings of two printed closed forms,
+tests use; `kstest` is scipy's, the reference for the package's port.  The rejected readings of two printed closed forms,
 `second_moment_printed_power` and `xi_printed`, are kept so that the
 tests can show why the package does not use them.
 """
@@ -675,3 +675,12 @@ def diagonalize_one_shot(matrix: np.ndarray):
     lead = evecs[pivot, np.arange(evecs.shape[1])]
     phase = np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
     return evals, np.ascontiguousarray(evecs / phase[None, :])
+
+
+def kstest(x, cdf):
+    """(statistic, pvalue) of scipy's two-sided one-sample KS test: the
+    reference for `harness.stats.ks_two_sided`, ported from it."""
+    import scipy.stats
+
+    res = scipy.stats.kstest(x, cdf)
+    return float(res.statistic), float(res.pvalue)

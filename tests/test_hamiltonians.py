@@ -328,8 +328,8 @@ def test_vectors_are_the_array_eigh_returned(monkeypatch):
     eigh = scipy.linalg.eigh
     returned = []
 
-    def recording(m):
-        w, v = eigh(m)
+    def recording(m, **kwargs):
+        w, v = eigh(m, **kwargs)
         returned.append(v)
         return w, v
 
@@ -337,6 +337,21 @@ def test_vectors_are_the_array_eigh_returned(monkeypatch):
     for matrix in (_hermitian(300, 8, real=True), _hermitian(300, 8)):
         es = diagonalize(matrix)
         assert np.shares_memory(es.vectors, returned[-1])
+
+
+def test_eigh_does_not_scan_the_block_again(monkeypatch):
+    """diagonalize reads every entry for finiteness before eigh, so eigh
+    is told to skip its own scan."""
+    eigh = scipy.linalg.eigh
+    calls = []
+
+    def recording(m, **kwargs):
+        calls.append(kwargs)
+        return eigh(m, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    diagonalize(_hermitian(10, 3))
+    assert calls == [{"check_finite": False}]
 
 
 def _defect(w, v, kind):
@@ -364,8 +379,8 @@ def test_sliced_checks_catch_a_defect_in_the_last_slice(monkeypatch, kind,
     matrix = _hermitian(300, 9)
     eigh = scipy.linalg.eigh
 
-    def spoiled(m):
-        w, v = eigh(m)
+    def spoiled(m, **kwargs):
+        w, v = eigh(m, **kwargs)
         _defect(w, v, kind)
         return w, v
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+
 from sectormagic import (Direction, mean_sp2, mean_sp2_tilted, moments,
                          second_moment_sp2)
 from sectormagic.harness import (
@@ -32,7 +34,7 @@ from sectormagic.harness import (
     write_jsonl,
     write_summary,
 )
-from sectormagic.harness import experiments
+from sectormagic.harness import experiments, stats
 from sectormagic.sampler import SeedPolicy
 from sectormagic.harness.cli import TABLE, build_parser, main, resolve
 
@@ -63,6 +65,61 @@ def test_summary_stats_degenerate_counts():
     s.update(2.5)
     assert s.mean == 2.5 and math.isnan(s.variance)
     assert s.to_dict()["mean"] == 2.5 and s.to_dict()["variance"] is None
+
+
+# (n, D, branch of the survival function D reaches): a sample of n uniform
+# points shifted so that its two-sided statistic is D
+_KS_CASES = [
+    (140, 0.8 / 140, "ends"),      # n D <= 1
+    (140, 139.5 / 140, "ends"),    # n D >= n - 1
+    (140, 0.6, "smirnov"),         # D >= 0.5
+    (140, 0.07, "dmtw"),           # n D^2 <= 0.754693
+    (140, 0.1, "pomeranz"),        # n D^2 <= 4
+    (140, 0.2, "smirnov"),         # n D^2 > 4
+    (1000, 0.0008, "ends"),        # n D <= 1, by Stirling
+    (1000, 0.01, "dmtw"),          # n D^1.5 <= 1.4
+    (1000, 0.03, "pelz_good"),     # n D^1.5 > 1.4
+    (1000, 0.06, "smirnov"),       # n D^2 >= 2.2
+    (2000, 0.45, "ends"),          # n D^2 >= 370: 0
+    (120000, 0.0005, "pelz_good"),  # n > 100 000, n D^1.5 <= 1.4
+]
+_KS_BRANCHES = {"dmtw": "_kolmogn_dmtw", "pomeranz": "_kolmogn_pomeranz",
+                "pelz_good": "_kolmogn_pelz_good", "smirnov": "_smirnov_sf"}
+
+
+@pytest.mark.parametrize("n, D, branch", _KS_CASES,
+                         ids=[f"{b}-n{n}-D{D:.4g}" for n, D, b in _KS_CASES])
+def test_ks_two_sided_is_scipy_kstest_bit_for_bit(monkeypatch, n, D, branch):
+    """The port gives kstest's statistic and p-value bits on each branch of
+    kstwo.sf; the case names the branch it reaches."""
+    reached = []
+    for name, attr in _KS_BRANCHES.items():
+        def recording(*args, _fn=getattr(stats, attr), _name=name):
+            reached.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(stats, attr, recording)
+    x = (np.arange(n) + 0.5) / n + (D - 0.5 / n)
+
+    def cdf(w):
+        return np.clip(w, 0.0, 1.0)
+
+    got = stats.ks_two_sided(x, cdf)
+    assert got[0] == pytest.approx(D, rel=1e-9)
+    assert reached == ([] if branch == "ends" else [branch])
+    assert got == oracles.kstest(x, cdf)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ks_two_sided_on_porter_thomas_samples(seed):
+    """At the benchmark's 16 000 samples of an L = 12, q = 0 sector weight,
+    the port and kstest agree bit for bit."""
+    d = 924
+    w = np.random.default_rng(seed).beta(1.0, d - 1.0, size=16000)
+
+    def cdf(x):
+        return moments.porter_thomas_cdf(x, d)
+
+    assert stats.ks_two_sided(w, cdf) == oracles.kstest(w, cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +821,42 @@ def test_physical_memory_unknown_skips_the_check(sysconf):
     assert out == "inf\n"
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import sectormagic.harness.cli as cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+loaded = {"import": scipy_modules()}
+for argv in (["analytic", "mean", "--L", "4", "--q", "0"],
+             ["sample", "--L", "4", "--q", "0", "--samples", "3",
+              "--threads", "1"],
+             ["pe-check", "--L", "6", "--q", "0", "--samples", "20",
+              "--threads", "1"],
+             ["csyk", "--L", "4", "--threads", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_loads_scipy_only_to_diagonalize():
+    """Importing the CLI and running analytic, sample and a pe-check whose
+    KS p-value is off the smirnov branch load no scipy module; csyk loads
+    scipy.linalg for eigh, and no command loads scipy.stats."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    loaded = json.loads(out)
+    for step in ("import", "analytic", "sample", "pe-check"):
+        assert loaded[step] == [], step
+    assert "scipy.linalg" in loaded["csyk"]
+    assert "scipy.stats" not in loaded["csyk"]
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The worker pools that the test's runs make."""
@@ -963,15 +1056,17 @@ def test_cli_repeated_list_value_refused(tmp_path, capsys, monkeypatch, text,
 
 @pytest.mark.parametrize("argv", [
     ["xxz", "--L", "4", "--q", "0", "--J1", "1e308"],
+    ["xxz", "--L", "4", "--q", "0", "--delta", "1e308", "--J2", "1e308"],
     ["mfim", "--L", "4", "--h", "1e308", "--h1", "1e308"],
-], ids=["xxz", "mfim"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+], ids=["xxz", "xxz-delta-J2", "mfim"])
+@pytest.mark.filterwarnings("error")
 def test_cli_overflowing_block_exits_3(capsys, argv):
-    """Finite couplings whose block overflows exit 3, not with a traceback
-    from eigh."""
+    """Finite couplings whose block overflows exit 3 with the one contract
+    line: no traceback from eigh, no numpy warning from the assembly."""
     code, out, err = run_cli(capsys, argv + ["--threads", "1"])
     assert code == 3 and out == ""
-    assert "matrix has a non-finite entry" in err
+    assert err == ("numerical contract violated: "
+                   "matrix has a non-finite entry\n")
 
 
 class _Dispatched(Exception):
