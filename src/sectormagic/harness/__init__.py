@@ -5,7 +5,6 @@ command line."""
 from .stats import SummaryStats
 from .records import (
     CSV_HEADER,
-    OBSERVABLES,
     RunRecord,
     format_value,
     render_csv,
@@ -29,7 +28,6 @@ __all__ = [
     "SummaryStats",
     "RunRecord",
     "CSV_HEADER",
-    "OBSERVABLES",
     "format_value",
     "render_csv",
     "write_csv",

@@ -77,10 +77,10 @@ CHUNK = 64
 #: bytes (3.1-4.0 measured: mfim full space d = 1024-4096, csyk d = 1024-3432)
 _DENSE_COPIES = 5
 #: peak memory of a sample run per histogram bin and sector, in bytes
-#: (103-113 measured in the main process, 121 summed over it and two workers)
+#: (64-80 measured in the main process, 128-144 with its largest worker)
 _HIST_BIN_BYTES = 160
 #: peak memory of a sampling run per sample, in bytes: its stream key, its
-#: row and its records (464-908 measured for sample, mixed and pe-check at
+#: row and its records (402-861 measured for sample, mixed and pe-check at
 #: L = 2 between 5e4 and 1e5 samples, one and two workers)
 _SAMPLE_BYTES = 1200
 try:  # bytes of physical memory; inf where os.sysconf cannot tell

@@ -114,12 +114,13 @@ class SeedPolicy:
     """Derives independent child streams from one master seed.
 
     child key = SHA-256(master_seed ':' experiment_id ':' task_index)
-    truncated to 128 bits; identical inputs give bit-identical streams on
+    truncated to 128 bits, with the seed in its own decimal text, so no two
+    seeds share streams; identical inputs give bit-identical streams on
     every platform.
     """
 
     def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed) & 0xFFFFFFFFFFFFFFFF
+        self.master_seed = int(master_seed)
 
     def child_key(self, experiment_id: str, task_index: int) -> int:
         msg = f"{self.master_seed}:{experiment_id}:{task_index}".encode()

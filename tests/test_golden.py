@@ -1,11 +1,12 @@
 """Golden output bytes of every CLI experiment.
 
 Each case runs the command line at a tiny size with one worker and compares
-the SHA-256 of the CSV and summary files with digests recorded once and
-never re-recorded: a refactor of the drivers must reproduce the records and
-summaries byte for byte.  The digests depend on the floating-point results
-of numpy/LAPACK; they were recorded with numpy 2.4 and scipy 1.17
-on x86-64 Linux.
+the SHA-256 of the record file (CSV, or JSONL where the case asks for it)
+and the summary file with digests recorded once and never re-recorded: a
+refactor of the drivers must reproduce the records and summaries byte for
+byte.  The printed summary must equal the summary file.  The digests depend
+on the floating-point results of numpy/LAPACK; they were recorded with
+numpy 2.4 and scipy 1.17 on x86-64 Linux.
 """
 
 import hashlib
@@ -27,6 +28,8 @@ CASES = {
     "mixed": ["mixed", "--L", "4", "--q", "0", "--theta", "0.3",
               "--theta", "1.1", "--phi", "0.2", "--samples", "7"],
     "pe_check": ["pe-check", "--L", "6", "--q", "2", "--samples", "70"],
+    "pe_check_jsonl": ["pe-check", "--L", "6", "--q", "2", "--samples", "70",
+                       "--format", "jsonl"],
     "csyk": ["csyk", "--L", "6", "--q", "0", "--q", "2",
              "--realizations", "3", "--fraction", "0.3"],
     "xxz": ["xxz", "--L", "6", "--q", "0", "--window", "0.6",
@@ -38,7 +41,7 @@ CASES = {
                  "--s", "0.25"],
 }
 
-#: case name -> (CSV digest, summary digest)
+#: case name -> (record file digest, summary digest)
 GOLDEN = {
     "collapse": (
         "f230ef8432c9334f8fa45819194ea49f49be07e6116fa9db840e938eb504d114",
@@ -54,6 +57,9 @@ GOLDEN = {
         "ae45c2c040ecb647e16598d2f71be3867d9ad92023a462085370a7db2f238bf2"),
     "pe_check": (
         "515d39df96beb7fde488f2831bef479abab30fde1487337180ce7ad587c79feb",
+        "d9025f2c42fe4d16c4113014a61fcbbaa4053641cff67b922d1476764b82fbe0"),
+    "pe_check_jsonl": (
+        "cc86eb4318c0d759252fe202eb0543c4d815339d04772ca86ab9115041182ad6",
         "d9025f2c42fe4d16c4113014a61fcbbaa4053641cff67b922d1476764b82fbe0"),
     "sample_x_hist": (
         "c481834cb7cef9d7b84486083fe25e5f7fe99cc76abe39e6d1c417e96c0aa40b",
@@ -84,7 +90,8 @@ def test_golden_output_bytes(name, tmp_path, capsys):
         argv += ["--seed", "5", "--threads", "1"]
     prefix = tmp_path / name
     assert main(argv + ["--out", str(prefix)]) == 0
-    capsys.readouterr()
-    got = (_sha(tmp_path / f"{name}.csv"),
-           _sha(tmp_path / f"{name}.summary.json"))
+    summary = tmp_path / f"{name}.summary.json"
+    assert capsys.readouterr().out == summary.read_text()
+    ext = "jsonl" if "jsonl" in argv else "csv"
+    got = (_sha(tmp_path / f"{name}.{ext}"), _sha(summary))
     assert got == GOLDEN[name]
