@@ -97,10 +97,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.values.size
-
 
 def _check_L(model: str, L: int):
     lo, hi = L_RANGE

@@ -92,8 +92,8 @@ CHARGE = CHARGES._replace(default=0, many=False)
 SAMPLES = Key("samples", int, 1000, "draws per sector")
 SEED = Key("seed", int, 0, "root seed of the per-task random streams")
 THREADS = Key("threads", int, None,
-              "worker processes (default SECTORMAGIC_THREADS, else the CPUs "
-              "in the affinity mask)")
+              "worker processes, at most the CPUs in the affinity mask "
+              "(default: that many)")
 OUT = Key("out", str, None, "output prefix; writes <out>.csv|.jsonl and "
                             "<out>.summary.json")
 FORMAT = Key("format", str, "csv", "record file format",
@@ -156,11 +156,10 @@ def _analytic_tilted(L: int, q: int, theta: float, phi: float) -> dict:
     }
 
 
-def _sweep(model: str, realizations: int, band: tuple, charges=(CHARGES,),
+def _sweep(model: str, band: tuple, charges=(CHARGES,), realizations=(),
            coupling_help="") -> Experiment:
     """Entry of one model's disorder sweep, a key per builder coupling."""
-    keys = ((SIZE,) + charges
-            + (REALIZATIONS._replace(default=realizations), WINDOW, FRACTION)
+    keys = ((SIZE,) + charges + realizations + (WINDOW, FRACTION)
             + tuple(Key(name, _finite, default, coupling_help)
                     for name, default in COUPLINGS[model].items()) + IO)
     return Experiment(f"{model} disorder sweep", keys,
@@ -198,10 +197,10 @@ TABLE = {
          Key("checkpoints", int, (), "sample counts of the running moments "
              "(default: logarithmic)", many=True)) + IO,
         run_variance_convergence),
-    # xxz and mfim are clean models: they take one realization
-    "csyk": _sweep("csyk", 100, ("fraction", 0.1)),
-    "xxz": _sweep("xxz", 1, ("window", 0.25), coupling_help="xxz coupling"),
-    "mfim": _sweep("mfim", 1, ("fraction", 0.1), charges=(),
+    # xxz and mfim are clean models: one realization, so no count to set
+    "csyk": _sweep("csyk", ("fraction", 0.1), realizations=(REALIZATIONS,)),
+    "xxz": _sweep("xxz", ("window", 0.25), coupling_help="xxz coupling"),
+    "mfim": _sweep("mfim", ("fraction", 0.1), charges=(),
                    coupling_help="mfim field"),
     "mixed": Experiment(
         "tilted-axis theta sweep",

@@ -1,7 +1,8 @@
 """Experiment drivers: state source x observable set x reducer.
 
 Two state sources, sector-Haar draws (`_haar_chunk`) and disorder
-realizations (`_disorder_chunk`), run behind one task dispatcher
+realizations (`_disorder_chunk`), measure their states in one
+Pauli-kernel loop (`_magic`) and run behind one task dispatcher
 (`_dispatch`); each run_* driver only reduces their rows to RunRecords,
 SummaryStats and a summary dict.  One pool per run: a driver hands every
 job of the run (one per sector, angle or size) to a single `_dispatch`
@@ -90,19 +91,12 @@ except (AttributeError, ValueError, OSError):
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: explicit flag > SECTORMAGIC_THREADS > the CPUs this
-    process may run on (its affinity mask, else the cpu count).  A count
-    below 1 from either source is refused."""
+    """Worker count: the flag (refused below 1), else the CPUs this
+    process may run on (its affinity mask, else the cpu count)."""
     if flag is None:
-        env = os.environ.get("SECTORMAGIC_THREADS")
-        if not env:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        try:
-            flag = int(env)
-        except ValueError:
-            raise ConfigError(f"SECTORMAGIC_THREADS is not an integer: {env!r}")
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if int(flag) < 1:
         raise ConfigError(f"worker count must be >= 1, got {flag}")
     return int(flag)
@@ -167,7 +161,8 @@ def _dispatch(worker, jobs, seed: int, threads: int):
         if tasks < 1:
             raise ConfigError(f"need at least one sample or realization, "
                               f"got {tasks}")
-    threads = resolve_threads(threads)
+    # a fork pool starts every worker at once: no more than there are CPUs
+    threads = min(resolve_threads(threads), resolve_threads())
     policy = SeedPolicy(seed)
     arglist, bounds = [], []
     for exp_id, tasks, *params in jobs:
@@ -228,17 +223,24 @@ def _haar_chunk(args):
                               int(basis.states[0]), basis, observables)
     hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
     if kernel:
-        cols["xi2"] = np.empty(len(keys))
-        cols["m2"] = np.empty(len(keys))
-        for i, state in enumerate(states):
-            summ = pauli_spectrum(state, (2.0,),
-                                  histogram_bins=hist_bins or None)
-            xi2 = cols["xi2"][i] = summ.purity(2.0)
-            # 0.0 - x, not -x: a zero entropy is written as 0, not -0
-            cols["m2"][i] = 0.0 - math.log2(xi2)
-            if hist is not None:
-                hist += summ.histogram[0]
+        cols["xi2"], cols["m2"] = _magic(states, len(keys), hist)
     return np.column_stack([cols[obs] for obs in observables]), hist
+
+
+def _magic(states, count: int, hist=None):
+    """The Xi_2 and m2 columns of count states, one pauli_spectrum call per
+    state in order; with hist, each state's |<P>|^2 counts over hist.size
+    bins are added to it."""
+    xi2s, m2s = np.empty(count), np.empty(count)
+    bins = None if hist is None else hist.size
+    for i, state in enumerate(states):
+        summ = pauli_spectrum(state, (2.0,), histogram_bins=bins)
+        xi2 = xi2s[i] = summ.purity(2.0)
+        # 0.0 - x, not -x: a zero entropy is written as 0, not -0
+        m2s[i] = 0.0 - math.log2(xi2)
+        if hist is not None:
+            hist += summ.histogram[0]
+    return xi2s, m2s
 
 
 def _participation(weights, support, probe: int, basis, observables):
@@ -322,11 +324,8 @@ def _disorder_chunk(args):
             es = diagonalize(block)
             keep = midspectrum_filter(es.values, L, window=window,
                                       fraction=fraction)
-            m2s = np.empty(keep.size)
-            for n, k in enumerate(keep):
-                psi = embed_eigenvector(es.vectors[:, k], basis)
-                xi2 = pauli_spectrum(psi, (2.0,)).purity(2.0)
-                m2s[n] = 0.0 - math.log2(xi2)
+            _, m2s = _magic((embed_eigenvector(es.vectors[:, k], basis)
+                             for k in keep), keep.size)
             row.append({
                 "m2": m2s,
                 "e_density": es.values[keep] / L,

@@ -32,6 +32,7 @@ from sectormagic.harness import (
     run_mixed_charge,
     run_pe_check,
 )
+from sectormagic.harness import experiments
 from sectormagic.harness.cli import main
 from sectormagic.magic import pauli_spectrum
 from sectormagic.moments import (
@@ -287,9 +288,13 @@ def test_concentration_bounds(capsys, ensemble_l8, tail_l10):
     _report(capsys, "AC-11 concentration bounds", 120.0, body)
 
 
-def test_worker_count_invariance(capsys, tmp_path):
+def test_worker_count_invariance(capsys, tmp_path, monkeypatch):
     """AC-12: identical configs give byte-identical CSV and summary files
     regardless of worker count."""
+    # three CPUs, so that --threads 3 runs three workers on any machine
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+
     def body():
         outputs = []
         for name, threads in (("a", "1"), ("b", "3"), ("c", "1")):

@@ -231,10 +231,9 @@ DEFAULTS = {
                              "checkpoints": []},
     "csyk": {"L": 8, "q": [0], "realizations": 100, "window": None,
              "fraction": 0.1},
-    "xxz": {"L": 8, "q": [0], "realizations": 1, "window": 0.25,
-            "fraction": None, "J1": 1.0, "delta": 0.5, "J2": 0.0, "h_b": 0.0,
-            "h_x": 0.0},
-    "mfim": {"L": 8, "realizations": 1, "window": None, "fraction": 0.1,
+    "xxz": {"L": 8, "q": [0], "window": 0.25, "fraction": None, "J1": 1.0,
+            "delta": 0.5, "J2": 0.0, "h_b": 0.0, "h_x": 0.0},
+    "mfim": {"L": 8, "window": None, "fraction": 0.1,
              "g": 1.1, "h": 0.35, "h1": 0.25, "hL": -0.25},
     "mixed": {"L": 8, "q": 0, "theta": [0.3], "phi": 0.0, "samples": 1000},
     "collapse": {"L_values": [6, 8, 10], "s_values": [0.0, 0.25, 0.5],
@@ -265,14 +264,6 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads(5) == 5
     with pytest.raises(ConfigError):
         resolve_threads(0)
-    monkeypatch.setenv("SECTORMAGIC_THREADS", "7")
-    assert resolve_threads() == 7
-    assert resolve_threads(2) == 2  # explicit flag wins
-    for env in ("x", "0"):
-        monkeypatch.setenv("SECTORMAGIC_THREADS", env)
-        with pytest.raises(ConfigError):
-            resolve_threads()
-    monkeypatch.delenv("SECTORMAGIC_THREADS")
     assert resolve_threads() >= 1
     # the default counts the CPUs this process may run on, not the machine's
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
@@ -327,7 +318,15 @@ def test_ensemble_experiment_structure():
         assert m2 == pytest.approx(-math.log2(xi), abs=1e-12)
 
 
-def test_ensemble_worker_count_invariance():
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """An affinity mask of three CPUs: threads=3 (or 2) is not capped to
+    fewer workers on a smaller machine."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+
+
+def test_ensemble_worker_count_invariance(three_cpus):
     """Records and summary are byte-identical for any worker split."""
     out = []
     for threads in (1, 3):
@@ -338,7 +337,7 @@ def test_ensemble_worker_count_invariance():
     assert out[0] == out[1]
 
 
-def test_pe_check_worker_count_invariance():
+def test_pe_check_worker_count_invariance(three_cpus):
     """pe-check records and summary are byte-identical for any worker
     split; 130 samples leave a short third chunk."""
     out = []
@@ -364,13 +363,13 @@ def _csv_and_summary(out):
                                              realizations=65, seed=4,
                                              threads=t, fraction=0.5),
 ], ids=["mixed", "variance-convergence", "self-averaging", "csyk"])
-def test_multi_job_worker_count_invariance(run):
+def test_multi_job_worker_count_invariance(run, three_cpus):
     """Every multi-job driver gives byte-identical records and summary at
     one and three workers."""
     assert _csv_and_summary(run(1)) == _csv_and_summary(run(3))
 
 
-def test_one_pool_per_run(monkeypatch):
+def test_one_pool_per_run(monkeypatch, three_cpus):
     """All jobs of a run share one process pool; a one-chunk run forks
     none, and a run with no tasks is refused before any pool exists."""
     made = []
@@ -643,9 +642,12 @@ def test_cli_jsonl_format(tmp_path, capsys):
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    # usage error from argparse
-    code, _, _ = run_cli(capsys, ["sample", "--no-such-flag"])
-    assert code == 2
+    # usage errors from argparse; a clean model has no --realizations
+    for argv in (["sample", "--no-such-flag"],
+                 ["xxz", "--q", "0", "--realizations", "1"],
+                 ["mfim", "--realizations", "1"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2 and "unrecognized arguments" in err
     # config errors
     code, _, err = run_cli(capsys, ["--config", str(tmp_path / "nope.cfg"),
                                     "sample"])
@@ -658,7 +660,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2  # over the size cap
     # numerical contract violation: transverse field breaks the charge
     code, _, err = run_cli(capsys, ["xxz", "--L", "4", "--h-x", "0.5",
-                                    "--realizations", "1", "--seed", "0"])
+                                    "--seed", "0"])
     assert code == 3 and "contract" in err
 
 
@@ -959,17 +961,40 @@ def test_every_table_entry_binds_its_driver_by_key_name():
 def test_cli_worker_count_below_one_refused(capsys, monkeypatch):
     _refused(capsys, ["pe-check", "--L", "2", "--samples", "2",
                       "--threads", "0"])
+    # no environment variable sets the worker count
     monkeypatch.setenv("SECTORMAGIC_THREADS", "0")
-    _refused(capsys, ["pe-check", "--L", "2", "--samples", "2"])
+    code, _, _ = run_cli(capsys, ["pe-check", "--L", "2", "--samples", "2"])
+    assert code == 0
+
+
+def test_worker_pool_capped_at_the_affinity_mask(monkeypatch):
+    """A fork-context pool starts every worker it is asked for, so a
+    --threads above the CPUs in the affinity mask gets one worker per CPU;
+    the bytes are those of one worker."""
+    asked = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(*args, max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    # 640 samples are 10 chunks of CHUNK = 64
+    capped = run_pe_check(2, 0, 640, seed=3, threads=64)
+    assert asked == [2]
+    one = run_pe_check(2, 0, 640, seed=3, threads=1)
+    assert _csv_and_summary(capped) == _csv_and_summary(one)
 
 
 def test_cli_window_and_fraction_together_refused(capsys):
     """Both band selectors at once is ambiguous: exit 2, not a silently
     dropped --fraction."""
-    for argv in (["csyk", "--q", "0"], ["xxz", "--q", "0"], ["mfim"]):
+    for argv in (["csyk", "--q", "0", "--realizations", "1"],
+                 ["xxz", "--q", "0"], ["mfim"]):
         err = _refused(capsys, argv + ["--L", "4", "--window", "0.5",
                                        "--fraction", "0.1",
-                                       "--realizations", "1",
                                        "--threads", "1"])
         assert "exactly one of window / fraction" in err
 
@@ -1019,8 +1044,14 @@ def test_cli_config_keys_checked(tmp_path, capsys, text, argv):
      "sample does not read allow_large"),
     (None, ["variance-convergence", "--L", "4", "--samples", "1"],
      "samples must be >= 2, got 1"),
+    # a clean model has one realization and no key to count them
+    ("experiment = xxz\nrealizations = 1\n", ["run"],
+     "xxz does not read realizations"),
+    ("experiment = mfim\nrealizations = 1\n", ["run"],
+     "mfim does not read realizations"),
 ], ids=["pe-check-q-twice", "mixed-q-twice", "run-nonsense", "run-analytic",
-        "allow-large-maybe", "variance-convergence-one-sample"])
+        "allow-large-maybe", "variance-convergence-one-sample",
+        "xxz-realizations", "mfim-realizations"])
 def test_cli_refusal_names_its_cause(tmp_path, capsys, monkeypatch, text, argv,
                                      message):
     """A one-value key given twice as a flag, a run of an experiment that
