@@ -13,21 +13,36 @@ batches (deterministic accumulation) in O(L 4^L) total time; the i^{a.b}
 phase of the Hermitian Pauli string is dropped since only moduli enter.
 
 Layout.  The live X-masks of a batch are gathered in sub-blocks of
-columns, one column per mask, as (2^L, columns) arrays, and the butterfly
-runs along the leading axis, so every level's inner loop spans h times
-the sub-block width instead of h elements.  Each sub-block's |g|^2 is put
-back into the row-major (masks, 2^L) array, one row per mask, before the
-per-batch sums, and its values are histogrammed.  Each element goes
-through the same floating-point operations in the same order as in the
-row-major last-axis transform, and the sums see the same array, so the
-output is bitwise that of the row-major loop.
+columns, one column per mask, as (2^L, columns) arrays, and the
+butterfly runs along the leading axis, so every level's inner loop spans
+h times the sub-block width instead of h elements.  numpy sends a
+strided view whose contiguous run is short through its buffered
+iterator: on 2 vCPUs, on a (256, 256)-float sub-block levels h = 1..8
+took 145-155 us each and h = 16..128 took 39-47 us, and on (4096, 128)
+floats h = 1..16 took 1135-1390 us and h >= 32 took 446-523 us, each
+level touching the same elements (BENCH_swapped_layout.json).  So the
+rows are gathered in a bit-swapped order: row y holds x with
 
-Workspace.  The buffers of one call (the gather, the index table that
-then holds |g|^2, and the row-major array) are kept per process and
-reused by the next call at the same L, so repeated calls map no fresh
-pages.  A sub-block has at most 2^18 amplitudes, so the gather and index
-table stay at 6 MB, and the row-major array at 2^21 Pauli strings
-(16 MB), from L = 11 on.  A forked worker owns its copy.
+    y = (x mod 2^k) 2^(L-k) + (x >> k),   k = L // 2.
+
+The butterflies of x bits 0..k-1 then run as the leading-axis levels
+h = 2^(L-k)..2^(L-1); one transposing copy, (2^k, 2^(L-k), columns) to
+(2^(L-k), 2^k, columns), puts the rows in natural order, where x bits
+k..L-1 run as levels h = 2^k..2^(L-1).  Every level spans at least
+2^(L//2) rows.  Each sub-block's |g|^2 is put back into the row-major
+(masks, 2^L) array, one row per mask, before the per-batch sums, and
+its values are histogrammed.  Each element goes through the same
+floating-point operations in the same order as in the row-major
+last-axis transform, and the sums see the same array, so the output is
+bitwise that of the row-major loop.
+
+Workspace.  The buffers of one call (the gather, its natural-order copy,
+the index table that then holds |g|^2, and the row-major array) are kept
+per process and reused by the next call at the same L, so repeated calls
+map no fresh pages.  A sub-block has at most 2^17 amplitudes, so the
+gather, the copy and the index table stay at 5 MB, and the row-major
+array at 2^21 Pauli strings (16 MB), from L = 11 on.  A forked worker
+owns its copy.
 
 Parity shortcut.  If every nonzero amplitude c_x has the same popcount
 parity (every z-frame sector state, every embedded sector eigenstate),
@@ -66,10 +81,12 @@ def _check_normalized(state: np.ndarray):
         raise ValueError(f"state not normalized: |psi|^2 = {nrm}")
 
 
-def fwht_leading_axis(a: np.ndarray) -> np.ndarray:
+def fwht_leading_axis(a: np.ndarray, start: int = 1) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the first axis, in place,
     with no temporary allocations (three in-place ufunc passes per level).
     At level h each pass runs over h times the size of the trailing axes.
+    The levels run from h = start (a power of two) up, so start > 1 runs
+    the butterflies of the index bits log2(start) and above only.
 
     The input must be C-contiguous: reshaping any other layout copies, and
     the transform would land in the copy.
@@ -77,7 +94,7 @@ def fwht_leading_axis(a: np.ndarray) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError("fwht_leading_axis needs a C-contiguous array")
     n = a.shape[0]
-    h = 1
+    h = start
     while h < n:
         v = a.reshape(n // (2 * h), 2, -1)
         a0 = v[:, 0]
@@ -87,6 +104,33 @@ def fwht_leading_axis(a: np.ndarray) -> np.ndarray:
         a1 += a0          # u - v
         h *= 2
     return a
+
+
+def swapped_order(L: int) -> np.ndarray:
+    """The basis index x held by each row y of the bit-swapped order:
+    y = (x mod 2^k) 2^(L-k) + (x >> k), with k = L // 2."""
+    k = L // 2
+    x = np.arange(1 << L, dtype=np.int64)
+    return x.reshape(1 << (L - k), 1 << k).T.ravel()
+
+
+def fwht_swapped(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of the (2^L, ...) array a, whose rows are
+    in the bit-swapped order of `swapped_order(L)`, into out in natural
+    order.  The butterflies of x bits 0..k-1 run in place on a, as its
+    levels h = 2^(L-k)..2^(L-1); one transposing copy puts the rows in
+    natural order in out, where x bits k..L-1 run as levels
+    h = 2^k..2^(L-1).  Every level's pass spans at least 2^(L//2) rows, and
+    each element takes the operations of `fwht_leading_axis` on the
+    natural order in the same order, so out is bitwise that transform.
+    Both arrays must be C-contiguous and of one shape."""
+    n = a.shape[0]
+    L = n.bit_length() - 1
+    k = L // 2
+    fwht_leading_axis(a, 1 << (L - k))
+    np.copyto(out.reshape(1 << (L - k), 1 << k, -1),
+              a.reshape(1 << k, 1 << (L - k), -1).transpose(1, 0, 2))
+    return fwht_leading_axis(out, 1 << k)
 
 
 @dataclass
@@ -102,9 +146,10 @@ class PauliSpectrumSummary:
 
 
 class _Workspace:
-    """The kernel's buffers at one L: the basis indices and their popcount
-    parities, one sub-block of the gather (complex) and of the index table
-    (int64, later read as float64 |g|^2), and the row-major array p of one
+    """The kernel's buffers at one L: the basis indices, their popcount
+    parities and their bit-swapped order, one sub-block of the gather and
+    of its natural-order copy (complex), and of the index table (int64,
+    later read as float64 |g|^2), and the row-major array p of one
     batch."""
 
     def __init__(self, L: int):
@@ -112,9 +157,11 @@ class _Workspace:
         self.L = L
         self.idx0 = np.arange(n, dtype=np.int64)
         self.odd = np.bitwise_count(self.idx0) & 1
+        self.perm = swapped_order(L)
         self.batch = max(1, min(n, (1 << 21) // n))
-        self.width = max(1, min(self.batch, (1 << 18) // n))
+        self.width = max(1, min(self.batch, (1 << 17) // n))
         self.gather = np.empty(n * self.width, dtype=np.complex128)
+        self.swap = np.empty(n * self.width, dtype=np.complex128)
         self.table = np.empty(n * self.width, dtype=np.int64)
         self.p = np.empty((self.batch, n))
 
@@ -140,13 +187,15 @@ def pauli_spectrum(
     Pauli strings.
 
     X-masks are summed in batches of max(1, min(2^L, 2^21 / 2^L)) and
-    transformed in sub-blocks of at most max(1, 2^18 / 2^L) of a batch's
+    transformed in sub-blocks of at most max(1, 2^17 / 2^L) of a batch's
     live masks, so the working set is fixed once L >= 11.  A sub-block is
-    transformed with one column per mask and a batch is summed with one
-    row per mask, in the floating-point order of a row-major transform
-    (see the module docstring).  A bounded histogram of the |<P>|^2
-    values over [0, 1] is accumulated when histogram_bins is given; the
-    full 4^L list is never stored.
+    gathered with one column per mask, its rows in the bit-swapped order,
+    and transformed by `fwht_swapped`, whose levels all run on long
+    contiguous runs; a batch is summed with one row per mask, in the
+    floating-point order of a row-major transform (see the module
+    docstring).  A bounded histogram of the |<P>|^2 values over [0, 1] is
+    accumulated when histogram_bins is given; the full 4^L list is never
+    stored.
 
     When the exact zeros of the state leave support of one popcount
     parity only, the odd X-mask rows, which are exactly zero, are skipped
@@ -169,7 +218,8 @@ def pauli_spectrum(
         hist_edges = np.linspace(0.0, 1.0, histogram_bins + 1)
 
     ws = _workspace_at(L)
-    idx0, p = ws.idx0, ws.p
+    idx0, perm, p = ws.idx0, ws.perm, ws.p
+    psi_perm = psi[perm]
     parities = ws.odd[psi != 0]
     # support of one parity: every odd X-mask row is exactly zero
     live = (ws.odd == 0) | (parities.min() != parities.max())
@@ -182,17 +232,19 @@ def pauli_spectrum(
         for lo in range(0, rows.size, ws.width):
             sub = rows[lo : lo + ws.width]
             idx = ws.table[: n * sub.size].reshape(n, sub.size)
-            g = ws.gather[: n * sub.size].reshape(n, sub.size)
-            # column r holds f_{m_r}(x) = conj(psi[x ^ m_r]) psi[x]; every
-            # index is in range, and mode="clip" takes no buffered copy
-            np.bitwise_xor(idx0[:, None], masks[sub], out=idx)
-            np.take(psi, idx, out=g, mode="clip")
-            np.conjugate(g, out=g)
-            g *= psi[:, None]
+            gs = ws.gather[: n * sub.size].reshape(n, sub.size)
+            g = ws.swap[: n * sub.size].reshape(n, sub.size)
+            # row y, column r holds f_{m_r}(x) = conj(psi[x ^ m_r]) psi[x]
+            # for x = perm[y]; every index is in range, and mode="clip"
+            # takes no buffered copy
+            np.bitwise_xor(perm[:, None], masks[sub], out=idx)
+            np.take(psi, idx, out=gs, mode="clip")
+            np.conjugate(gs, out=gs)
+            gs *= psi_perm[:, None]
             # real and imaginary parts take the same additions; the real
             # -2.0 differs from the complex one only in the sign of exact
-            # zeros, which the modulus drops
-            fwht_leading_axis(g.view(np.float64))
+            # zeros, which the modulus drops.  g is in natural order.
+            fwht_swapped(gs.view(np.float64), g.view(np.float64))
             g2 = idx.view(np.float64)  # the index table is spent
             np.abs(g, out=g2)
             np.multiply(g2, g2, out=g2)  # |<P>|^2

@@ -14,7 +14,7 @@ from sectormagic import (
     stabilizer_purity_fast,
 )
 from sectormagic import magic
-from sectormagic.magic import fwht_leading_axis
+from sectormagic.magic import fwht_leading_axis, fwht_swapped, swapped_order
 from sectormagic.sectors import popcount
 
 from oracles import haar_state
@@ -48,12 +48,21 @@ def test_fwht_matches_hadamard_matrix():
 
 def test_fwht_rejects_non_contiguous_input():
     """A transposed view would be reshaped into a copy: the transform would
-    leave the input unchanged, so the kernel refuses it."""
+    leave the input unchanged, so the kernel refuses it, also with a start
+    level, and the swapped transform refuses one as input or output."""
     x = np.random.default_rng(1).normal(size=(3, 16)) + 0j
     view = x.T
     before = view.copy()
     with pytest.raises(ValueError, match="C-contiguous"):
         fwht_leading_axis(view)
+    np.testing.assert_array_equal(view, before)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fwht_leading_axis(view, 4)
+    y = np.random.default_rng(2).normal(size=(6, 16))
+    for a, out in ((y.T, np.empty((16, 6))),
+                   (np.ascontiguousarray(y.T), np.empty((6, 16)).T)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fwht_swapped(a, out)
     np.testing.assert_array_equal(view, before)
     contiguous = np.ascontiguousarray(view)
     H1 = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -76,6 +85,31 @@ def test_fwht_leading_axis_equals_last_axis_butterfly():
         got = np.ascontiguousarray(A.T)
         fwht_leading_axis(got.view(np.float64))
         np.testing.assert_array_equal(got, ref.T)
+
+
+def test_swapped_transform_equals_last_axis_butterfly():
+    """Row y of the swapped order holds x with y = (x mod 2^k) 2^(L-k) +
+    (x >> k), k = L // 2.  Rows gathered in that order, the low levels,
+    the one transposing copy and the high levels give the row-major
+    last-axis butterfly element for element, not just to rounding: for
+    even and odd L (unequal halves), on the float64 view of a complex
+    array and on plain float64."""
+    rng = np.random.default_rng(5)
+    for L in range(1, 13):
+        k = L // 2
+        perm = swapped_order(L)
+        x = np.arange(2 ** L)
+        np.testing.assert_array_equal(
+            perm[(x % 2 ** k) * 2 ** (L - k) + (x >> k)], x)
+        for cols in (1, 3, 32, 128):
+            A = (rng.normal(size=(cols, 2 ** L))
+                 + 1j * rng.normal(size=(cols, 2 ** L)))
+            for B in (A, A.real.copy()):
+                ref = oracles.fwht_last_axis(B.copy())
+                gathered = np.ascontiguousarray(B.T[perm])
+                out = np.empty_like(gathered)
+                fwht_swapped(gathered.view(np.float64), out.view(np.float64))
+                np.testing.assert_array_equal(out, ref.T)
 
 
 def test_fast_equals_bruteforce_on_random_states():
@@ -184,20 +218,25 @@ def test_sector_states_have_even_x_mask_support():
 def test_row_skipping_is_bitwise_equal_to_all_masks():
     """Parity-definite states skip the odd X-mask rows; purities and
     histogram counts equal the all-mask loop, row-major with its own
-    last-axis butterfly, exactly.  The mixed-parity, x-frame and full Haar
-    states take the all-rows path, the L = 11 one over two batches."""
+    last-axis butterfly, exactly.  The mixed-parity, x-frame, full Haar
+    and real full-space states take the all-rows path: the L = 11 Haar
+    state over two batches, the L = 12 x-frame state over 8 batches of 16
+    sub-blocks each."""
     cases = [(L, q) for L in range(1, 11) for q in range(-L, L + 1, 2)]
     states = [constrained_haar_state(L, q, seed=L + q)
               for L, q in cases + [(12, 0), (12, 2)]]
     mixed = np.zeros(2 ** 6, dtype=complex)
     mixed[0] = mixed[1] = 1.0 / math.sqrt(2.0)
-    xframe = constrained_haar_state(6, 2, frame="x", seed=5)
+    xframes = [constrained_haar_state(6, 2, frame="x", seed=5),
+               constrained_haar_state(12, 0, frame="x", seed=7)]
     full = haar_state(11, seed=6)
-    parity = np.bitwise_count(np.arange(2 ** 6)) % 2
-    for psi in (mixed, xframe):
+    real = np.ascontiguousarray(haar_state(9, seed=8).real)
+    real /= np.linalg.norm(real)
+    for psi in [mixed] + xframes:
+        parity = np.bitwise_count(np.arange(psi.size)) % 2
         assert set(parity[psi != 0]) == {0, 1}
-    assert np.all(full != 0)
-    for psi in states + [mixed, xframe, full]:
+    assert np.all(full != 0) and np.all(real != 0)
+    for psi in states + [mixed, full, real] + xframes:
         got = pauli_spectrum(psi, (2, 3), histogram_bins=200)
         ref = oracles.pauli_spectrum_all_masks(psi, (2, 3), histogram_bins=200)
         assert got.purities == ref.purities
@@ -225,7 +264,9 @@ def test_kernel_working_set_is_fixed(monkeypatch):
     spectrum it never materializes.  A sector state, whose skipped rows
     are zero-filled for the sums, peaks no higher than a full state.  Each
     measured call starts from a cleared workspace, so its peak holds the
-    workspace's buffers too."""
+    workspace's buffers too.  The L = 12 peak is no higher than the
+    24 177 320 B that the same call peaked at with unswapped 2^18-amplitude
+    sub-blocks (gather and index table, no swap buffer)."""
     states = [haar_state(L, seed=2) for L in (11, 12)]
     states.append(constrained_haar_state(12, 0, seed=2))
     pauli_spectrum(states[0], (2,), histogram_bins=200)  # warm up
@@ -239,6 +280,7 @@ def test_kernel_working_set_is_fixed(monkeypatch):
     assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
     assert peaks[1] < (4 ** 12) * 8
     assert peaks[2] <= peaks[1]
+    assert peaks[1] <= 24_177_320
 
 
 def _spectrum_bytes(psi, bins=None):
@@ -284,7 +326,7 @@ def test_histogram_call_between_plain_calls_changes_nothing(monkeypatch):
 
 def test_all_rows_state_after_a_smaller_call_matches_all_masks():
     """An x-frame state transforms every X-mask, at L = 11 in two batches
-    of 1024 masks and 16 sub-blocks of 128; after an L = 8 call it still
+    of 1024 masks, each in 16 sub-blocks of 64; after an L = 8 call it still
     equals the all-mask reference, histogram included."""
     pauli_spectrum(constrained_haar_state(8, 0, seed=6), (2,))
     psi = constrained_haar_state(11, 1, frame="x", seed=6)
