@@ -461,7 +461,7 @@ def run_variance_convergence(L, q, samples, seed=0, threads=None,
 
 def run_mixed_charge(L, q, theta, samples, seed=0, phi=0.0, threads=None):
     """Constrain the charge along a tilted axis n(theta, phi) for each theta
-    and compare the sampled mean Xi_2 against the extended-precision tilted
+    and compare the sampled mean Xi_2 against the exact tilted
     prediction."""
     thetas = [float(t) for t in theta]
 

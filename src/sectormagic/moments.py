@@ -4,7 +4,7 @@ references, and concentration bounds.
 
 All closed forms are evaluated in arbitrary-precision integer/rational
 arithmetic (no log-domain fallback, even at L = 512);
-:func:`m2_mean_bound` takes the logarithm of the exact mean at the end.
+the two ``*_m2_bound`` functions take the logarithm of the exact mean last.
 
 The second moment sums thirteen grouped permutation classes; the 960-class
 prefactor multiplies the sector dimension d_q.  Four classes reduce to the
@@ -26,9 +26,10 @@ which both reduce to h(L, q) = sum_k C(L,k) R[k]^4, R[t] = K_q(L-t, t):
 Costs, in big-integer operations: h is one Kravchuk row, O(L); the mean
 is one h; K1 is O(1) once h is known; K4 is 2(L+1) h sums, so the second
 moment is O(L^2); K2 and K3 are O(L).  The tilted-axis mean is an O(L^2)
-sum in 60 + 2L-digit arithmetic, evaluated once per (L, q, axis) and
-process; its a_k and b_k sums are O(L^2) C-level products over two
-Pascal rows.
+sum, evaluated once per (L, q, axis) and process: three integer
+polynomials in (f-1)/4, (g-1)/8 and w, the exact rationals of the axis'
+doubles, run by Horner's scheme on the integers; its a_k and b_k sums
+are O(L^2) C-level products over two Pascal rows.
 
 The index-for-index transcriptions of K1 (its (-i)^b phases tracked
 exactly) and K4, the sliced K1 sum, the per-term a_k and b_k sums, and
@@ -38,6 +39,7 @@ the rejected 2^{5L} reading of the 960-class prefactor live in
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +48,6 @@ from itertools import repeat
 from operator import add, floordiv, mul
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .kravchuk import binomial, h_sum, kravchuk_int
 from .sectors import Direction, SectorError, _check_sector
@@ -215,45 +216,49 @@ def _tilted_row_sums(L: int, q: int) -> tuple[list[int], list[int]]:
     return a, b
 
 
+def _horner(x: Fraction, coeffs) -> Fraction:
+    """sum_k c_k x^k over integer c_k, evaluated at x = a/b on the integers:
+    sum_k c_k a^k b^(n-k) by Horner's scheme, divided by b^n once."""
+    a, b = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * scale
+        scale *= b
+    return Fraction(acc, scale // b)
+
+
 @lru_cache(maxsize=None)
-def _tilted_mean_sum(L: int, q: int, direction: Direction) -> mpf:
-    """The tilted-axis mean in extended precision, memoized per axis."""
+def _tilted_mean_sum(L: int, q: int, direction: Direction) -> Fraction:
+    """The exact tilted-axis mean of the doubles f, g, w, memoized per axis."""
     d = _check_sector(L, q)
-    f, g, w = tilt_factors(direction)
-    with mp.workdps(60 + 2 * L):
-        fm1, gm1, wm = mpf(f) - 1, mpf(g) - 1, mpf(w)
-        i1 = mp.zero
-        i2 = mp.zero
-        i3 = mp.zero
-        for k, (a_k, b_k) in enumerate(zip(*_tilted_row_sums(L, q))):
-            cl = math.comb(L, k)
-            if a_k and (k == 0 or fm1 != 0):
-                i1 += cl * fm1 ** k / 4 ** k * mpf(a_k) ** 2
-            if b_k and (k == 0 or gm1 != 0):
-                i2 += cl * gm1 ** k / 8 ** k * mpf(b_k)
-            kv = kravchuk_int(L - k, k, q)
-            if kv:
-                i3 += cl * wm ** k * mpf(kv) ** 4
-        total = 12 * i1 + 8 * i2 + 4 * i3 / 2 ** L
-        return total / (24 * math.comb(d + 3, 4))
+    f, g, w = map(Fraction, tilt_factors(direction))
+    a, b = _tilted_row_sums(L, q)
+    cl = [math.comb(L, k) for k in range(L + 1)]
+    i1 = _horner((f - 1) / 4, list(map(mul, cl, map(mul, a, a))))
+    i2 = _horner((g - 1) / 8, list(map(mul, cl, b)))
+    i3 = _horner(w, [c * kravchuk_int(L - k, k, q) ** 4
+                     for k, c in enumerate(cl)])
+    total = 12 * i1 + 8 * i2 + 4 * i3 / 2 ** L
+    return total / (24 * math.comb(d + 3, 4))
 
 
 def mean_sp2_tilted(L: int, q: int, direction) -> float:
     """Ensemble mean of the 2-stabilizer-purity when the conserved charge is
     measured along an arbitrary unit axis.
 
-    Evaluated in extended precision (the alternating (f-1)^k sums cancel to
-    ~2L bits); reduces to :func:`mean_sp2` exactly on coordinate axes.
+    The exact rational of the axis' double tilt factors, rounded once;
+    it equals :func:`mean_sp2` on coordinate axes.
     """
     return float(_tilted_mean_sum(L, q, Direction.of(direction)))
 
 
 def tilted_m2_bound(L: int, q: int, direction) -> float:
-    """-log2 of the tilted-axis mean, computed before leaving extended
-    precision (safe for large L)."""
+    """-log2 of the exact tilted-axis mean, from 60-digit logarithms of its
+    numerator and denominator."""
     v = _tilted_mean_sum(L, q, Direction.of(direction))
-    with mp.workdps(60 + 2 * L):
-        return float(-mp.log(v) / mp.log(2))
+    ctx = decimal.Context(prec=60)
+    num, den = decimal.Decimal(v.numerator), decimal.Decimal(v.denominator)
+    return float(ctx.divide(ctx.subtract(ctx.ln(den), ctx.ln(num)), ctx.ln(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -551,8 +551,8 @@ def test_cli_analytic_payload_bytes_pinned(capsys, args):
 
 
 def test_cli_analytic_tilted_evaluates_the_sum_once(capsys):
-    """The payload's mean and -log2 bound share one extended-precision
-    evaluation; list and ndarray axes are still accepted."""
+    """The payload's mean and -log2 bound share one exact evaluation; list
+    and ndarray axes are still accepted."""
     moments._tilted_mean_sum.cache_clear()
     code, out, _ = run_cli(capsys, ["analytic", "tilted", "--L", "12",
                                     "--q", "2", "--theta", "0.4"])
@@ -861,6 +861,37 @@ def test_cli_loads_scipy_only_to_diagonalize():
         assert loaded[step] == [], step
     assert "scipy.linalg" in loaded["csyk"]
     assert "scipy.stats" not in loaded["csyk"]
+
+
+_MPMATH_PROBE = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None
+import sectormagic.harness.cli as cli
+
+def mpmath_modules():
+    return [m for m, mod in sys.modules.items()
+            if m.split(".")[0] == "mpmath" and mod is not None]
+
+loaded = [mpmath_modules()]
+for argv in (["analytic", "tilted", "--L", "64", "--q", "0", "--theta", "0.7"],
+             ["analytic", "variance", "--L", "8", "--q", "2"],
+             ["mixed", "--L", "4", "--q", "0", "--theta", "0.3",
+              "--samples", "3", "--threads", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded.append(mpmath_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_runs_without_mpmath():
+    """With mpmath unimportable, the CLI imports and its exact tilted mean,
+    exact variance and a mixed run exit 0, loading no mpmath module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _MPMATH_PROBE], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert json.loads(out) == [[]] * 4
 
 
 @pytest.fixture
