@@ -58,7 +58,6 @@ from .magic import (
     stabilizer_purity_fast,
 )
 from .hamiltonians import (
-    CouplingTensor,
     EigenSystem,
     Hamiltonian,
     build_csyk,

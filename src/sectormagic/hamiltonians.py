@@ -32,11 +32,12 @@ from .sampler import GaussianStream, SeedPolicy
 
 __all__ = [
     "NumericalContractError",
-    "CouplingTensor",
     "Hamiltonian",
     "EigenSystem",
     "L_RANGE",
     "COUPLINGS",
+    "CLEAN_BUILDERS",
+    "CHARGED",
     "build_csyk",
     "build_xxz_nnn",
     "build_mfim",
@@ -65,28 +66,13 @@ class NumericalContractError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CouplingTensor:
-    """Hermitian two-body couplings J[(i<j), (k<l)] over ordered mode pairs."""
-
-    L: int
-    pairs: tuple  # tuple of (i, j) with i < j, lexicographic
-    values: np.ndarray  # (P, P) complex, values[p, p'] = J_{pairs[p]; pairs[p']}
-
-    def __post_init__(self):
-        v = self.values
-        if np.max(np.abs(v - v.conj().T)) > _HERMITICITY_TOL:
-            raise NumericalContractError("coupling tensor not Hermitian")
-
-
-@dataclass(frozen=True)
 class Hamiltonian:
-    """One operator of a model: the spin-chain couplings (params) or the
-    csyk coupling tensor, never a matrix."""
+    """One operator of a model, never its matrix: its builder's couplings
+    in params (csyk: the pair-basis coupling matrix params["J"])."""
 
     model: str
     L: int
     params: dict = field(default_factory=dict)
-    couplings: CouplingTensor | None = None
 
 
 @dataclass(frozen=True)
@@ -109,22 +95,21 @@ def _check_L(model: str, L: int):
 # ---------------------------------------------------------------------------
 
 def build_csyk(L: int, seed=0) -> Hamiltonian:
-    """Draw one complex-SYK realization on L modes.
+    """Draw one complex-SYK realization on L modes: params {"J": J}.
 
-    The pair-basis coupling matrix is J = (G + Gdag)/sqrt(2) with G iid
-    standard complex Gaussian, so J_{kl;ij} = conj(J_{ij;kl}), off-diagonal
-    entries have unit mean square modulus and diagonal entries are real
-    N(0, 1).  Prefactor 4 (2L)^{-3/2}.
+    J = (G + Gdag)/sqrt(2) over the lexicographic mode pairs (i<j), G iid
+    standard complex Gaussian: off-diagonal entries have unit mean square
+    modulus, diagonal ones are real N(0, 1), and J_{kl;ij} = conj(J_{ij;kl})
+    holds bit for bit (IEEE sums commute; conjugation and the real division
+    act on each part exactly).  Prefactor 4 (2L)^{-3/2}.
     """
     _check_L("csyk", L)
     if not isinstance(seed, GaussianStream):
         seed = SeedPolicy(int(seed)).stream("hamiltonian", 0)
-    pairs = tuple(itertools.combinations(range(L), 2))
-    P = len(pairs)
+    P = L * (L - 1) // 2
     g = seed.complex_normals(P * P).reshape(P, P)
-    J = (g + g.conj().T) / math.sqrt(2.0)
     return Hamiltonian("csyk", L,
-                       couplings=CouplingTensor(L=L, pairs=pairs, values=J))
+                       params={"J": (g + g.conj().T) / math.sqrt(2.0)})
 
 
 def build_xxz_nnn(L: int, J1=1.0, delta=0.5, J2=0.0, h_b=0.0,
@@ -157,12 +142,18 @@ def build_mfim(L: int, g=1.1, h=0.35, h1=0.25, hL=-0.25) -> Hamiltonian:
     return Hamiltonian("mfim", L, params=dict(g=g, h=h, h1=h1, hL=hL))
 
 
+#: builders of the clean models: their couplings are fixed, so every
+#: realization is the same operator (csyk draws its couplings per realization)
+CLEAN_BUILDERS = {"xxz": build_xxz_nnn, "mfim": build_mfim}
+#: models with a conserved U(1) charge; the others have only the full space
+CHARGED = frozenset({"csyk", "xxz"})
+
 #: model -> {coupling: default}: the parameters after L of its builder, in
-#: signature order (csyk draws its couplings per realization and takes none)
+#: signature order (csyk takes none)
 COUPLINGS = {"csyk": {}, **{
     model: {p.name: p.default
             for p in list(inspect.signature(build).parameters.values())[1:]}
-    for model, build in (("xxz", build_xxz_nnn), ("mfim", build_mfim))}}
+    for model, build in CLEAN_BUILDERS.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,7 @@ def _sector_basis(model: str, L: int, q) -> SectorBasisMap:
     if q is None:
         return SectorBasisMap(L=L, q=None,
                               states=np.arange(2 ** L, dtype=np.int64))
-    if model == "mfim":
+    if model not in CHARGED:
         raise ValueError(f"model {model!r} has no conserved charge")
     # the csyk charge 2 popcount - L is minus the z-charge of sectors.py
     states = enumerate_sector(L, -q if model == "csyk" else q).states
@@ -235,7 +226,7 @@ def _csyk_block(H: Hamiltonian, basis: SectorBasisMap) -> np.ndarray:
     rows, cols, signs, cidx = _csyk_index_maps(H.L, basis.q)
     block = np.zeros((basis.dimension,) * 2, dtype=np.complex128)
     np.add.at(block, (rows, cols),
-              signs * H.couplings.values.reshape(-1)[cidx])
+              signs * H.params["J"].reshape(-1)[cidx])
     block *= 4.0 * (2 * H.L) ** -1.5
     # the Hermiticity delta and (block + block^H) / 2, in place, one pair of
     # mirrored tiles at a time; each entry takes the whole-block operations

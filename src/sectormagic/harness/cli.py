@@ -24,7 +24,8 @@ from typing import Any, Callable, NamedTuple
 
 from ..asymptotics import (_check_density, asymptotic_prediction,
                            tilted_asymptotic_q0)
-from ..hamiltonians import COUPLINGS, NumericalContractError
+from ..hamiltonians import (CHARGED, CLEAN_BUILDERS, COUPLINGS,
+                            NumericalContractError)
 from ..moments import (SectorError, analytic_moments, levy_variance_bound,
                        m2_mean_bound, mean_sp2, mean_sp2_tilted,
                        tilted_m2_bound)
@@ -118,7 +119,7 @@ def _analytic_mean(L: int, q: int) -> dict:
     return {
         "L": L, "q": q,
         "dimension": sector_dimension(L, q),
-        "mean_xi2": str(mean),
+        "mean_xi2": mean,
         "mean_xi2_float": float(mean),
         "m2_mean_bound": m2_mean_bound(L, q),
     }
@@ -131,11 +132,11 @@ def _analytic_variance(L: int, q: int) -> dict:
     return {
         "L": L, "q": q,
         "k2_coefficient": "sector-dimension",
-        "mean_xi2": str(mom.mean),
+        "mean_xi2": mom.mean,
         "mean_xi2_float": float(mom.mean),
-        "second_moment_xi2": str(mom.second_moment),
+        "second_moment_xi2": mom.second_moment,
         "second_moment_xi2_float": float(mom.second_moment),
-        "variance_xi2": str(mom.variance),
+        "variance_xi2": mom.variance,
         "variance_xi2_float": float(mom.variance),
         "levy_variance_bound": levy_variance_bound(L, q),
     }
@@ -156,10 +157,12 @@ def _analytic_tilted(L: int, q: int, theta: float, phi: float) -> dict:
     }
 
 
-def _sweep(model: str, band: tuple, charges=(CHARGES,), realizations=(),
-           coupling_help="") -> Experiment:
-    """Entry of one model's disorder sweep, a key per builder coupling."""
-    keys = ((SIZE,) + charges + realizations + (WINDOW, FRACTION)
+def _sweep(model: str, band: tuple, coupling_help="") -> Experiment:
+    """One model's disorder sweep: a charge key if it is CHARGED, a
+    realizations key unless it is clean, a key per builder coupling."""
+    keys = ((SIZE,) + ((CHARGES,) if model in CHARGED else ())
+            + (() if model in CLEAN_BUILDERS else (REALIZATIONS,))
+            + (WINDOW, FRACTION)
             + tuple(Key(name, _finite, default, coupling_help)
                     for name, default in COUPLINGS[model].items()) + IO)
     return Experiment(f"{model} disorder sweep", keys,
@@ -197,11 +200,9 @@ TABLE = {
          Key("checkpoints", int, (), "sample counts of the running moments "
              "(default: logarithmic)", many=True)) + IO,
         run_variance_convergence),
-    # xxz and mfim are clean models: one realization, so no count to set
-    "csyk": _sweep("csyk", ("fraction", 0.1), realizations=(REALIZATIONS,)),
-    "xxz": _sweep("xxz", ("window", 0.25), coupling_help="xxz coupling"),
-    "mfim": _sweep("mfim", ("fraction", 0.1), charges=(),
-                   coupling_help="mfim field"),
+    "csyk": _sweep("csyk", ("fraction", 0.1)),
+    "xxz": _sweep("xxz", ("window", 0.25), "xxz coupling"),
+    "mfim": _sweep("mfim", ("fraction", 0.1), "mfim field"),
     "mixed": Experiment(
         "tilted-axis theta sweep",
         (SIZE, CHARGE, THETAS, PHI, SAMPLES) + IO,
@@ -305,7 +306,9 @@ def resolve(command: str, file: dict | None = None,
 
 def _emit(result, values: dict, stdout) -> None:
     """Print the summary (or analytic payload); with `out`, also write the
-    record and summary files."""
+    record and summary files.  An exact payload holds integers and
+    rationals of any size, so Python's cap on the digits of an int written
+    as text is lifted while it prints, and only then: parsing keeps it."""
     if "out" in values:
         records, result = result
         if values["out"]:
@@ -314,7 +317,14 @@ def _emit(result, values: dict, stdout) -> None:
             else:
                 write_csv(records, values["out"] + ".csv")
             write_summary(result, values["out"] + ".summary.json")
-    dump_summary(result, stdout)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        dump_summary(result, stdout)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def main(argv=None) -> int:

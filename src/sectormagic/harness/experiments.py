@@ -44,12 +44,12 @@ from ..magic import pauli_spectrum
 from ..sampler import constrained_haar_state  # noqa: F401
 from ..magic import shannon_pe  # noqa: F401
 from ..hamiltonians import (
+    CHARGED,
+    CLEAN_BUILDERS,
     COUPLINGS,
     L_RANGE,
     adjacent_gap_ratio,
     build_csyk,
-    build_mfim,
-    build_xxz_nnn,
     diagonalize,
     embed_eigenvector,
     extract_sector_block,
@@ -121,9 +121,9 @@ def _size_check(Ls, qs, L_range, what: str) -> dict:
 
 def _block_check(Ls, qs, model: str) -> dict:
     """_size_check of a disorder run, then refuse a block too large to
-    diagonalize in physical memory (_DENSE_COPIES times its bytes; csyk
-    blocks are complex); (L, q) -> dimension of every block."""
-    per_entry = _DENSE_COPIES * (16 if model == "csyk" else 8)
+    diagonalize in physical memory (_DENSE_COPIES times its bytes; only a
+    clean model's blocks are real); (L, q) -> dimension of every block."""
+    per_entry = _DENSE_COPIES * (8 if model in CLEAN_BUILDERS else 16)
     dims = _size_check(Ls, qs, L_RANGE, model)
     for (L, q), d in dims.items():
         if per_entry * d * d > _PHYSICAL_MEMORY:
@@ -299,15 +299,6 @@ def _haar_draws(jobs, seed, threads, L, observables, hist_bins=0):
     return out
 
 
-_BUILDERS = {
-    "csyk": lambda L, stream, p: build_csyk(L, seed=stream),
-    "xxz": lambda L, stream, p: build_xxz_nnn(L, **p),
-    "mfim": lambda L, stream, p: build_mfim(L, **p),
-}
-#: models whose builders ignore the task stream: one realization each
-_CLEAN_MODELS = frozenset({"xxz", "mfim"})
-
-
 def _disorder_chunk(args):
     """Disorder realizations, one per stream key, in task order: per
     realization a list with one cell per sector in qs, holding the m2 of
@@ -316,7 +307,10 @@ def _disorder_chunk(args):
     keys, model, L, qs, params, window, fraction = args
     out = []
     for key in keys:
-        H = _BUILDERS[model](L, GaussianStream(key), dict(params))
+        # build_csyk by this module's name: bench/tracer.py times it here
+        H = (CLEAN_BUILDERS[model](L, **dict(params))
+             if model in CLEAN_BUILDERS
+             else build_csyk(L, seed=GaussianStream(key)))
         row = []
         for q in qs:
             block, basis = extract_sector_block(H, q)
@@ -510,15 +504,13 @@ def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
     """Mid-spectrum stabilizer entropy across disorder realizations of one
     Hamiltonian family, pooled per charge sector in q.
 
-    For sectorless models (mfim) leave q None to use the full spectrum.
-    Exactly one of window / fraction selects the mid-spectrum band.  The
-    keyword couplings go to the model's builder (csyk takes none); a name
-    the builder does not take is refused before any work.
-
-    xxz and mfim are clean models: their builders ignore the task stream,
-    so they take exactly one realization.
+    A model outside CHARGED takes q None, the full spectrum.  Exactly one
+    of window / fraction selects the mid-spectrum band.  The keyword
+    couplings go to the model's builder (COUPLINGS); a name the builder does
+    not take is refused before any work.  A clean model (CLEAN_BUILDERS) has
+    fixed couplings, so it takes exactly one realization.
     """
-    if model not in _BUILDERS:
+    if model not in COUPLINGS:
         raise ConfigError(f"unknown model {model!r}")
     if (window is None) == (fraction is None):
         raise ConfigError("give exactly one of window / fraction")
@@ -526,12 +518,12 @@ def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
     unknown = sorted(set(couplings) - set(COUPLINGS[model]))
     if unknown:
         raise ConfigError(f"{model} takes no coupling {', '.join(unknown)}")
-    if model in _CLEAN_MODELS and realizations != 1:
+    if model in CLEAN_BUILDERS and realizations != 1:
         raise ConfigError(f"{model} is a clean model and takes one "
                           f"realization, got {realizations}")
     qs = [None] if q is None else list(q)
-    if model == "mfim" and qs != [None]:
-        raise ConfigError("mfim has no conserved charge; leave q unset")
+    if model not in CHARGED and qs != [None]:
+        raise ConfigError(f"{model} has no conserved charge; leave q unset")
     dims = _block_check([L], qs, model)
     params = tuple(sorted(couplings.items()))
 

@@ -12,6 +12,7 @@ empty when absent.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -61,8 +62,11 @@ def write_jsonl(records, path) -> None:
 
 
 def _plain(obj):
-    """json's fallback: SummaryStats as its dict, numpy values as Python
-    ones (numpy floats are Python floats already)."""
+    """json's fallback: SummaryStats as its dict, an exact rational as its
+    text "p/q", numpy values as Python ones (numpy floats are Python floats
+    already)."""
+    if isinstance(obj, Fraction):
+        return str(obj)
     if hasattr(obj, "to_dict"):
         return obj.to_dict()
     if hasattr(obj, "tolist"):

@@ -563,15 +563,15 @@ def _annihilator(L: int, m: int) -> np.ndarray:
     return out
 
 
-def dense_csyk(couplings) -> np.ndarray:
-    """4 (2L)^{-3/2} sum J_{ij;kl} cdag_i cdag_j c_k c_l from a
-    CouplingTensor."""
-    L = couplings.L
+def dense_csyk(H) -> np.ndarray:
+    """4 (2L)^{-3/2} sum J_{ij;kl} cdag_i cdag_j c_k c_l of a csyk
+    Hamiltonian, J = H.params["J"] over the lexicographic pairs (i<j)."""
+    L = H.L
+    pairs = list(itertools.combinations(range(L), 2))
     c = [_annihilator(L, m) for m in range(L)]
-    create = np.stack([c[i].conj().T @ c[j].conj().T
-                       for i, j in couplings.pairs])
-    destroy = np.stack([c[k] @ c[l] for k, l in couplings.pairs])
-    mixed = np.tensordot(couplings.values, destroy, axes=(1, 0))
+    create = np.stack([c[i].conj().T @ c[j].conj().T for i, j in pairs])
+    destroy = np.stack([c[k] @ c[l] for k, l in pairs])
+    mixed = np.tensordot(H.params["J"], destroy, axes=(1, 0))
     return (create @ mixed).sum(axis=0) * 4.0 * (2 * L) ** -1.5
 
 
@@ -659,7 +659,7 @@ def csyk_block_one_shot(H, q) -> np.ndarray:
     rows, cols, signs, cidx = csyk_index_maps_one_shot(H.L, q)
     block = np.zeros((basis.dimension,) * 2, dtype=np.complex128)
     np.add.at(block, (rows, cols),
-              signs * H.couplings.values.reshape(-1)[cidx])
+              signs * H.params["J"].reshape(-1)[cidx])
     block *= 4.0 * (2 * H.L) ** -1.5
     return (block + block.conj().T) / 2
 

@@ -78,7 +78,7 @@ def ensemble_l8():
     """
     t0 = time.perf_counter()
     records, summary = run_ensemble_experiment(
-        8, [0, 2, 4], 10_000, seed=20260823, threads=1)
+        8, [0, 2, 4], 10_000, seed=20260823)
     return records, summary, time.perf_counter() - t0
 
 
@@ -92,7 +92,7 @@ def tail_l10():
     """
     t0 = time.perf_counter()
     records, summary = run_ensemble_experiment(
-        10, [0], 500, seed=11, threads=1)
+        10, [0], 500, seed=11)
     return records, summary, time.perf_counter() - t0
 
 
@@ -238,7 +238,7 @@ def test_quartic_fermion_benchmark(capsys):
         # the dense operator of this realization has no element between
         # states of unequal charge 2 N_f - L, i.e. it commutes with Q
         qvec = 2 * np.bitwise_count(np.arange(2 ** 8)).astype(int) - 8
-        ref = dense_csyk(H.couplings)
+        ref = dense_csyk(H)
         off = ref[qvec[:, None] != qvec[None, :]]
         assert off.size and not np.any(off)
         block, basis = extract_sector_block(H, -6)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -8,7 +7,7 @@ import scipy.linalg
 
 import oracles
 from sectormagic import (
-    CouplingTensor,
+    Hamiltonian,
     build_csyk,
     build_mfim,
     build_xxz_nnn,
@@ -58,7 +57,7 @@ def test_csyk_matches_dense_operator_assembly():
     """Rebuild one realization from explicit JW fermion matrices."""
     for L in (4, 5, 6):
         H = build_csyk(L, seed=5)
-        _check_blocks(H, oracles.dense_csyk(H.couplings),
+        _check_blocks(H, oracles.dense_csyk(H),
                       lambda x: 2 * _popcount(x) - L)
 
 
@@ -150,11 +149,12 @@ def test_every_builder_stops_at_L_14(build):
 
 
 def test_coupling_tensor_hermiticity_enforced():
-    pairs = tuple(itertools.combinations(range(3), 2))
+    """A hand-made non-Hermitian coupling matrix is refused when its block
+    is assembled."""
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1.0  # no conjugate partner
-    with pytest.raises(NumericalContractError):
-        CouplingTensor(L=3, pairs=pairs, values=bad)
+    with pytest.raises(NumericalContractError, match="non-Hermitian"):
+        extract_sector_block(Hamiltonian("csyk", 3, params={"J": bad}), None)
 
 
 def test_csyk_determinism_and_hermiticity():
@@ -214,7 +214,7 @@ def test_tiled_csyk_assembly_catches_a_defect_in_the_last_tile():
     """A non-Hermitian coupling between the pairs (8, 9) and (7, 9) puts
     its entries in rows of the last tile of the L = 10, q = 0 block."""
     H = build_csyk(10, seed=4)
-    H.couplings.values[-1, -2] += 1e-6
+    H.params["J"][-1, -2] += 1e-6
     with pytest.raises(NumericalContractError, match="non-Hermitian"):
         extract_sector_block(H, 0)
 

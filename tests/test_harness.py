@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +551,34 @@ def test_cli_analytic_payload_bytes_pinned(capsys, args):
         ANALYTIC_STDOUT_SHA256[args]
 
 
+def test_cli_exact_payload_prints_past_the_int_text_cap(capsys):
+    """Python refuses to write an int of more digits than its cap; the
+    payload's rationals print at any size, and the cap is put back."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(
+            capsys, ["analytic", "variance", "--L", "300", "--q", "0"])
+        kept = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert code == 0 and kept == 640
+    data = json.loads(out)
+    texts = [data[key] for key in
+             ("mean_xi2", "second_moment_xi2", "variance_xi2")]
+    assert max(len(text) for text in texts) > 2 * 640
+    mom = moments.analytic_moments(300, 0)
+    assert [Fraction(text) for text in texts] == [
+        mom.mean, mom.second_moment, mom.variance]
+
+
+def test_cli_keeps_the_int_text_cap_for_parsing(capsys):
+    """A flag of more digits than Python's cap is refused, not parsed."""
+    err = _refused(capsys, ["analytic", "mean", "--L", "1" * 5000,
+                            "--q", "0"])
+    assert "bad value for 'L'" in err
+
+
 def test_cli_analytic_tilted_evaluates_the_sum_once(capsys):
     """The payload's mean and -log2 bound share one exact evaluation; list
     and ndarray axes are still accepted."""
@@ -920,9 +949,10 @@ def test_clean_model_takes_one_realization(monkeypatch, pools):
             return build(*args, **kwargs)
         return wrapper
 
-    for name in ("build_csyk", "build_xxz_nnn", "build_mfim"):
-        monkeypatch.setattr(experiments, name,
-                            counted(getattr(experiments, name)))
+    monkeypatch.setattr(experiments, "build_csyk",
+                        counted(experiments.build_csyk))
+    for model, build in list(experiments.CLEAN_BUILDERS.items()):
+        monkeypatch.setitem(experiments.CLEAN_BUILDERS, model, counted(build))
     for model, qs in (("xxz", [0]), ("mfim", None)):
         with pytest.raises(ConfigError, match=f"{model} is a clean model and "
                                               f"takes one realization, got 2"):
