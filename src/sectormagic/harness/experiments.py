@@ -7,13 +7,23 @@ Pauli-kernel loop (`_magic`) and run behind one task dispatcher
 SummaryStats and a summary dict.  One pool per run: a driver hands every
 job of the run (one per sector, angle or size) to a single `_dispatch`
 call, whose chunks share one worker pool.  Task i of an experiment owns
-the stream SeedPolicy(seed).stream(experiment id, i), tasks go out in
-fixed chunks of CHUNK and are reduced in task order, so output bytes do
-not depend on the worker count.  The ids sample:L=..:q=..:frame=..,
-varconv:L=..:q=.., mixed:L=..:q=..:t=.., pe:L=..:q=.., {model}:L=.. and
-selfavg:csyk:L=.. never change.  Degenerate inputs raise ConfigError up
-front, and a statistic that means nothing (fewer than two samples, a
-one-state sector) is None, never NaN.
+the stream SeedPolicy(seed).stream(experiment id, i).  The ids
+sample:L=..:q=..:frame=.., varconv:L=..:q=.., mixed:L=..:q=..:t=..,
+pe:L=..:q=.., {model}:L=.. and selfavg:csyk:L=.. never change.
+Degenerate inputs raise ConfigError up front, and a statistic that means
+nothing (fewer than two samples, a one-state sector) is None, never NaN.
+
+Determinism, stated here once.  No output byte depends on the worker
+count or on CHUNK.  (1) Each task's values depend only on its stream key:
+the batched draw works element by element and normalizes row by row, so
+row i has the bits of the per-state draw; `_participation` reduces each
+row on its own, `_magic` takes one state per call, and histograms are
+integer counts.  (2) Every floating-point reduction across tasks runs in
+the parent, in task order (SummaryStats, pooled statistics, the
+self-averaging sums).  The envelope: the bytes are fixed by the config
+for a given numpy build and SIMD tier (np.log and np.exp, and complex
+np.abs below AVX2, dispatch by CPU), BLAS build and BLAS thread count
+(eigh).  tests/test_golden.py runs every case at three chunk sizes.
 """
 
 from __future__ import annotations
@@ -70,8 +80,8 @@ __all__ = [
     "run_pe_check",
 ]
 
-#: tasks per dispatch unit; fixed so chunk boundaries (and hence all
-#: floating-point reduction orders) never depend on the worker count
+#: tasks per worker call: the per-call overhead of a batched sector-Haar
+#: draw against the size of its (CHUNK, d) coefficient block
 CHUNK = 64
 
 #: peak memory of assembling and diagonalizing a dense block over its own
@@ -132,6 +142,15 @@ def _block_check(Ls, qs, model: str) -> dict:
     return dims
 
 
+def _realization_check(realizations: int, per_realization: int):
+    """Refuse, before any stream key is made, a disorder run that would not
+    fit in physical memory: per realization, per_realization stream keys
+    and kept eigenstates, _SAMPLE_BYTES each."""
+    if realizations * per_realization * _SAMPLE_BYTES > _PHYSICAL_MEMORY:
+        raise ConfigError(f"{realizations} realizations do not fit in "
+                          f"physical memory")
+
+
 def _fraction_check(fraction):
     """Refuse, before any work, a band fraction outside [0, 1]."""
     if fraction is not None and not 0.0 <= fraction <= 1.0:
@@ -153,9 +172,9 @@ def _dispatch(worker, jobs, seed: int, threads: int):
 
     Each job is (exp_id, tasks, *params).  Task i of exp_id owns the stream
     keyed by SeedPolicy(seed) on (exp_id, i).  Every job's tasks go out in
-    fixed ranges of CHUNK; each worker call gets the stream keys of one
-    range followed by its job's params.  The chunks of all jobs share one
-    worker pool, and every job is checked before any fork.
+    ranges of CHUNK, read at call time; each worker call gets the stream
+    keys of one range followed by its job's params.  The chunks of all jobs
+    share one worker pool, and every job is checked before any fork.
     """
     for _, tasks, *_ in jobs:
         if tasks < 1:
@@ -525,6 +544,9 @@ def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
     if model not in CHARGED and qs != [None]:
         raise ConfigError(f"{model} has no conserved charge; leave q unset")
     dims = _block_check([L], qs, model)
+    # a window's kept count is known only after diagonalization
+    _realization_check(realizations, 1 + (0 if fraction is None else sum(
+        round(fraction * d) for d in dims.values())))
     params = tuple(sorted(couplings.items()))
 
     (chunks,) = _dispatch(_disorder_chunk, [
@@ -592,6 +614,8 @@ def run_self_averaging(L_values=(6, 8, 10), realizations=50, seed=0,
             raise ConfigError(
                 f"fraction {fraction} keeps no eigenstate of the L={L}, "
                 f"q={q} sector (dimension {d})")
+    _realization_check(realizations, sum(1 + round(fraction * d)
+                                         for d in dims.values()))
 
     per_size = _dispatch(_disorder_chunk, [
         (f"selfavg:csyk:L={L}", realizations, "csyk", L, (q,), (), None,

@@ -297,14 +297,28 @@ def porter_thomas_cdf(w, d: int):
 
 
 def levy_tail_bound(L: int, q: int, eps: float) -> float:
-    """Concentration bound P(|Xi_2 - mean| >= eps) <= 2 exp(-d eps^2 / (9 pi^3 eta^2))."""
+    """Concentration bound P(|Xi_2 - mean| >= eps) <= 2 exp(-d eps^2 / (9 pi^3 eta^2)).
+
+    Past the float range of d (or of eps^2) the exponent x is taken
+    exactly; exp(-x) rounds to 0.0 for every x beyond 746."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
     d = _check_sector(L, q)
-    return 2.0 * math.exp(-d * eps ** 2 / (9 * math.pi ** 3 * LIPSCHITZ_ETA ** 2))
+    c = 9 * math.pi ** 3 * LIPSCHITZ_ETA ** 2
+    try:
+        return 2.0 * math.exp(-d * eps ** 2 / c)
+    except OverflowError:
+        x = (math.inf if math.isinf(eps)
+             else d * Fraction(eps) ** 2 / Fraction(c))
+        return 2.0 * math.exp(-float(min(x, 746)))
 
 
 def levy_variance_bound(L: int, q: int) -> float:
-    """Variance bound 18 pi^3 eta^2 / d implied by the tail bound."""
+    """Variance bound 18 pi^3 eta^2 / d implied by the tail bound; the
+    correctly rounded exact quotient once d is past the float range."""
     d = _check_sector(L, q)
-    return 18 * math.pi ** 3 * LIPSCHITZ_ETA ** 2 / d
+    c = 18 * math.pi ** 3 * LIPSCHITZ_ETA ** 2
+    try:
+        return c / d
+    except OverflowError:
+        return float(Fraction(c) / d)

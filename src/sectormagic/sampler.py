@@ -1,12 +1,13 @@
-"""Deterministic, platform-independent sampling of sector-constrained
-Haar-random pure states.
+"""Deterministic sampling of sector-constrained Haar-random pure states.
 
 Stream derivation: SHA-256 of "master:experiment:task" truncated to a
 128-bit Philox key.  Uniform variates come from the bit generator's raw
 64-bit output (the layer numpy guarantees stream-stable across versions);
 Gaussians use an explicit Box-Muller transform with a fixed consumption
 of two raw draws per complex amplitude, so there is no data-dependent
-rejection and parallel tasks are bit-reproducible.
+rejection and parallel tasks are bit-reproducible.  Keys and raw draws
+are the same on any machine; the Gaussians' last bits follow numpy's
+SIMD tier (np.log, np.exp), as the `harness.experiments` docstring says.
 
 Many states at once.  `sector_haar_coefficients` draws one state per
 stream key: one Philox is re-keyed per key, its raw draws fill one row of
@@ -115,8 +116,8 @@ class SeedPolicy:
 
     child key = SHA-256(master_seed ':' experiment_id ':' task_index)
     truncated to 128 bits, with the seed in its own decimal text, so no two
-    seeds share streams; identical inputs give bit-identical streams on
-    every platform.
+    seeds share streams.  Identical inputs give the same key and raw draws
+    on any machine (the Gaussians: module docstring).
     """
 
     def __init__(self, master_seed: int):

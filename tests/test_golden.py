@@ -4,15 +4,24 @@ Each case runs the command line at a tiny size with one worker and compares
 the SHA-256 of the record file (CSV, or JSONL where the case asks for it)
 and the summary file with digests recorded once and never re-recorded: a
 refactor of the drivers must reproduce the records and summaries byte for
-byte.  The printed summary must equal the summary file.  The digests depend
-on the floating-point results of numpy/LAPACK; they were recorded with
-numpy 2.4 and scipy 1.17 on x86-64 Linux.
+byte.  The printed summary must equal the summary file.
+
+Every case also runs with experiments.CHUNK at 1 and 7, and must give the
+same digests: no output byte depends on the chunk boundaries (the rule is
+stated in the harness.experiments docstring).  At 7 the 9- to 80-sample
+cases split into several worker calls, at 1 the 3-realization cases too.
+
+The digests hold only inside that docstring's envelope.  They were recorded
+with numpy 2.4 and scipy 1.17 on an x86-64 CPU with AVX-512, at OpenBLAS's
+default thread count.  On a CPU of another SIMD tier, sample_z_hist and
+self_averaging fail: numpy's np.log and np.exp round differently there.
 """
 
 import hashlib
 
 import pytest
 
+from sectormagic.harness import experiments
 from sectormagic.harness.cli import main
 
 #: case name -> CLI arguments (seed, threads and output prefix are added)
@@ -83,8 +92,16 @@ def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output_bytes(name, tmp_path, capsys):
+#: worker-call sizes every case runs at; the default keeps the bare case id
+CHUNKS = (experiments.CHUNK, 1, 7)
+
+
+@pytest.mark.parametrize("name, chunk", [
+    pytest.param(name, chunk, id=(name if chunk == experiments.CHUNK
+                                  else f"{name}-chunk{chunk}"))
+    for name in sorted(CASES) for chunk in CHUNKS])
+def test_golden_output_bytes(name, chunk, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "CHUNK", chunk)
     argv = list(CASES[name])
     if name != "collapse":
         argv += ["--seed", "5", "--threads", "1"]

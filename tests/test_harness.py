@@ -840,6 +840,38 @@ def test_samples_beyond_physical_memory_refused(capsys, monkeypatch):
     assert "100000000000 samples do not fit in physical memory" in err
 
 
+def test_realizations_beyond_physical_memory_refused(capsys, monkeypatch):
+    """A disorder run whose realizations, each with its stream key and kept
+    eigenstates (round(fraction * d) per sector, none counted for a window),
+    would not fit in physical memory exits 2 before any stream key is
+    made."""
+    # csyk L = 4 with --fraction 0.5 keeps 3 of q = 0's 6 states and 2 of
+    # q = 2's 4: 1 + 5 entries per realization; self-averaging at L = 4 and
+    # 6 keeps 3 and 10 states: (1 + 3) + (1 + 10)
+    monkeypatch.setattr(experiments, "_PHYSICAL_MEMORY",
+                        30 * experiments._SAMPLE_BYTES)
+    csyk = ["csyk", "--L", "4", "--q", "0", "--q", "2", "--threads", "1"]
+    selfavg = ["self-averaging", "--L", "4", "--L", "6", "--fraction", "0.5",
+               "--threads", "1"]
+    for argv in (csyk + ["--fraction", "0.5", "--realizations", "5"],
+                 csyk + ["--window", "0.5", "--realizations", "30"],
+                 selfavg + ["--realizations", "2"]):
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    for argv, n in ((csyk + ["--fraction", "0.5", "--realizations", "6"], 6),
+                    (csyk + ["--window", "0.5", "--realizations", "31"], 31),
+                    (selfavg + ["--realizations", "3"], 3)):
+        err = _refused(capsys, argv)
+        assert f"{n} realizations do not fit in physical memory" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    for argv in (["csyk", "--L", "2", "--q", "0"],
+                 ["self-averaging", "--L", "4"]):
+        err = _refused(capsys, argv + ["--realizations", "100000000000"])
+        assert "100000000000 realizations do not fit" in err
+
+
 @pytest.mark.parametrize("sysconf", [
     "del os.sysconf",
     "os.sysconf = lambda name: (_ for _ in ()).throw(ValueError(name))",

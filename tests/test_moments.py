@@ -235,3 +235,30 @@ def test_levy_variance_bound_integrates_tail():
         assert levy_variance_bound(L, q) == pytest.approx(
             18 * math.pi ** 3 * LIPSCHITZ_ETA ** 2 / d, rel=1e-12
         )
+
+
+def test_levy_bounds_past_the_float_range():
+    """The q = 0 sector dimension passes the float range at L = 1030.
+    Below it the bounds keep their float expressions bit for bit; from it
+    on they are the correctly rounded exact values, not an OverflowError."""
+    c_var = 18 * math.pi ** 3 * LIPSCHITZ_ETA ** 2
+    c_tail = 9 * math.pi ** 3 * LIPSCHITZ_ETA ** 2
+    d = sector_dimension(1028, 0)
+    assert levy_variance_bound(1028, 0) == c_var / d == 2.2742395741939633e-304
+    assert levy_tail_bound(1028, 0, 1e-153) == 2.0 * math.exp(
+        -d * 1e-153 ** 2 / c_tail)
+    for L, want in ((1030, 5.69112429888188e-305), (1100, 0.0)):
+        d = sector_dimension(L, 0)
+        with pytest.raises(OverflowError):
+            float(d)
+        assert levy_variance_bound(L, 0) == float(Fraction(c_var) / d) == want
+        assert levy_tail_bound(L, 0, 0.0) == 2.0
+        for eps in (0.1, 1.0, math.inf):
+            assert levy_tail_bound(L, 0, eps) == 0.0
+    # an exponent d eps^2 / c of about 3.5 at L = 1030
+    d, eps = sector_dimension(1030, 0), 1e-152
+    exponent = math.exp(math.log(d) + 2 * math.log(eps) - math.log(c_tail))
+    assert levy_tail_bound(1030, 0, eps) == pytest.approx(
+        2.0 * math.exp(-exponent), rel=1e-12)
+    # eps^2 past the float range
+    assert levy_tail_bound(6, 0, 1e200) == 0.0
