@@ -304,19 +304,20 @@ def resolve(command: str, file: dict | None = None,
     return values
 
 
-def _emit(result, values: dict, stdout) -> None:
-    """Print the summary (or analytic payload); with `out`, also write the
-    record and summary files.  An exact payload holds integers and
-    rationals of any size, so Python's cap on the digits of an int written
-    as text is lifted while it prints, and only then: parsing keeps it."""
+def _emit(result, values: dict, paths, stdout) -> None:
+    """Print the summary (or analytic payload) and write the records and the
+    summary to paths, if any, an OSError as a ConfigError.  An exact payload
+    holds integers and rationals of any size, so Python's cap on the digits
+    of an int written as text is lifted while it prints, and only then."""
     if "out" in values:
         records, result = result
-        if values["out"]:
-            if values["format"] == "jsonl":
-                write_jsonl(records, values["out"] + ".jsonl")
-            else:
-                write_csv(records, values["out"] + ".csv")
-            write_summary(result, values["out"] + ".summary.json")
+        write = write_jsonl if values["format"] == "jsonl" else write_csv
+        try:
+            if paths:
+                write(records, paths[0])
+                write_summary(result, paths[1])
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
     if cap:
         sys.set_int_max_str_digits(0)
@@ -347,12 +348,18 @@ def main(argv=None) -> int:
             if entry is None or entry.run is None or OUT not in entry.keys:
                 raise ConfigError(f"unknown experiment {command!r}")
         values = resolve(command, file, flags)
-        folder = os.path.dirname(values.get("out") or "") or "."
-        if not os.path.isdir(folder):
-            raise ConfigError(f"output directory {folder} does not exist")
+        out = values.get("out")  # records: <out>.csv or .jsonl, by format
+        paths = ((f"{out}.{values['format']}", f"{out}.summary.json")
+                 if out else ())
+        for path in paths:
+            folder = os.path.dirname(path) or "."
+            if not os.path.isdir(folder):
+                raise ConfigError(f"output directory {folder} does not exist")
+            if os.path.isdir(path):
+                raise ConfigError(f"output path {path} is a directory")
         params = {name: value for name, value in values.items()
                   if name not in ("out", "format")}
-        _emit(TABLE[command].run(**params), values, sys.stdout)
+        _emit(TABLE[command].run(**params), values, paths, sys.stdout)
         return 0
     except (ConfigError, SectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ Pauli-kernel loop (`_magic`) and run behind one task dispatcher
 SummaryStats and a summary dict.  One pool per run: a driver hands every
 job of the run (one per sector, angle or size) to a single `_dispatch`
 call, whose chunks share one worker pool.  Task i of an experiment owns
-the stream SeedPolicy(seed).stream(experiment id, i).  The ids
-sample:L=..:q=..:frame=.., varconv:L=..:q=.., mixed:L=..:q=..:t=..,
-pe:L=..:q=.., {model}:L=.. and selfavg:csyk:L=.. never change.
-Degenerate inputs raise ConfigError up front, and a statistic that means
-nothing (fewer than two samples, a one-state sector) is None, never NaN.
+the stream SeedPolicy(seed).stream(experiment id, i), keyed by the state
+source in the worker that runs it.  The ids sample:L=..:q=..:frame=..,
+varconv:L=..:q=.., mixed:L=..:q=..:t=.., pe:L=..:q=.., {model}:L=.. and
+selfavg:csyk:L=.. never change.  Degenerate inputs raise ConfigError up
+front, and a statistic that means nothing (fewer than two samples, a
+one-state sector) is None, never NaN.
 
 Determinism, stated here once.  No output byte depends on the worker
 count or on CHUNK.  (1) Each task's values depend only on its stream key:
@@ -48,7 +49,7 @@ from ..moments import (
     variance_sp2,
 )
 from ..asymptotics import asymptotic_prediction, nearest_sector_charge
-from ..sampler import GaussianStream, SeedPolicy, sector_haar_coefficients
+from ..sampler import SeedPolicy, sector_haar_coefficients
 from ..magic import pauli_spectrum
 # not called here; bench/tracer.py times these names on this module
 from ..sampler import constrained_haar_state  # noqa: F401
@@ -90,9 +91,9 @@ _DENSE_COPIES = 5
 #: peak memory of a sample run per histogram bin and sector, in bytes
 #: (64-80 measured in the main process, 128-144 with its largest worker)
 _HIST_BIN_BYTES = 160
-#: peak memory of a sampling run per sample, in bytes: its stream key, its
-#: row and its records (402-861 measured for sample, mixed and pe-check at
-#: L = 2 between 5e4 and 1e5 samples, one and two workers)
+#: peak memory of a sampling run per sample, in bytes: its row and its
+#: records (402-861 measured for sample, mixed and pe-check at L = 2 between
+#: 5e4 and 1e5 samples, one and two workers, when the parent held its key)
 _SAMPLE_BYTES = 1200
 try:  # bytes of physical memory; inf where os.sysconf cannot tell
     _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -129,6 +130,12 @@ def _size_check(Ls, qs, L_range, what: str) -> dict:
     return dims
 
 
+def _memory_check(nbytes, what: str):
+    """Refuse, before any work, nbytes beyond physical memory."""
+    if nbytes > _PHYSICAL_MEMORY:
+        raise ConfigError(f"{what} physical memory")
+
+
 def _block_check(Ls, qs, model: str) -> dict:
     """_size_check of a disorder run, then refuse a block too large to
     diagonalize in physical memory (_DENSE_COPIES times its bytes; only a
@@ -136,19 +143,9 @@ def _block_check(Ls, qs, model: str) -> dict:
     per_entry = _DENSE_COPIES * (8 if model in CLEAN_BUILDERS else 16)
     dims = _size_check(Ls, qs, L_RANGE, model)
     for (L, q), d in dims.items():
-        if per_entry * d * d > _PHYSICAL_MEMORY:
-            raise ConfigError(f"sector (L={L}, q={q}) of dimension {d} is "
-                              f"too large to diagonalize in physical memory")
+        _memory_check(per_entry * d * d, f"sector (L={L}, q={q}) of dimension "
+                      f"{d} is too large to diagonalize in")
     return dims
-
-
-def _realization_check(realizations: int, per_realization: int):
-    """Refuse, before any stream key is made, a disorder run that would not
-    fit in physical memory: per realization, per_realization stream keys
-    and kept eigenstates, _SAMPLE_BYTES each."""
-    if realizations * per_realization * _SAMPLE_BYTES > _PHYSICAL_MEMORY:
-        raise ConfigError(f"{realizations} realizations do not fit in "
-                          f"physical memory")
 
 
 def _fraction_check(fraction):
@@ -166,29 +163,25 @@ def _z_score(stats: SummaryStats, exact: float, d: int):
     return (stats.mean - exact) / stats.sem
 
 
-def _dispatch(worker, jobs, seed: int, threads: int):
-    """The one task dispatcher, one pool per run: per job, the per-chunk
-    results of worker in task order.
+def _dispatch(worker, jobs, threads: int):
+    """The one task dispatcher, an ordered map with one pool per run: per
+    job, the per-chunk results of worker in task order.
 
-    Each job is (exp_id, tasks, *params).  Task i of exp_id owns the stream
-    keyed by SeedPolicy(seed) on (exp_id, i).  Every job's tasks go out in
-    ranges of CHUNK, read at call time; each worker call gets the stream
-    keys of one range followed by its job's params.  The chunks of all jobs
-    share one worker pool, and every job is checked before any fork.
-    """
-    for _, tasks, *_ in jobs:
+    Each job is (tasks, *params).  Its tasks go out in ranges of CHUNK,
+    read at call time, and each worker call gets (range(lo, hi), *params).
+    The chunks of all jobs share one worker pool, and every job is checked
+    before any fork.  It knows no seed: a worker that draws keys its own
+    streams from its range and params."""
+    for tasks, *_ in jobs:
         if tasks < 1:
             raise ConfigError(f"need at least one sample or realization, "
                               f"got {tasks}")
     # a fork pool starts every worker at once: no more than there are CPUs
     threads = min(resolve_threads(threads), resolve_threads())
-    policy = SeedPolicy(seed)
     arglist, bounds = [], []
-    for exp_id, tasks, *params in jobs:
+    for tasks, *params in jobs:
         start = len(arglist)
-        arglist += [([policy.child_key(exp_id, i)
-                      for i in range(lo, min(lo + CHUNK, tasks))],
-                     *params)
+        arglist += [(range(lo, min(lo + CHUNK, tasks)), *params)
                     for lo in range(0, tasks, CHUNK)]
         bounds.append((start, len(arglist)))
     if threads <= 1 or len(arglist) <= 1:
@@ -206,9 +199,9 @@ def _dispatch(worker, jobs, seed: int, threads: int):
 # ---------------------------------------------------------------------------
 
 def _haar_chunk(args):
-    """Sector-Haar draws, one per stream key: rows (task order, one column
-    per requested observable) and the pooled |<P>|^2 histogram (None
-    without bins).
+    """Sector-Haar draws of the tasks in the range, each from its stream:
+    rows (task order, one column per requested observable) and the pooled
+    |<P>|^2 histogram (None without bins).
 
     Observables: xi2 and m2 (Pauli kernel), ipr2 = sum p^2 and s2, the
     Shannon participation entropy shannon_pe, and probe, the weight
@@ -224,8 +217,9 @@ def _haar_chunk(args):
     against 557-755 us for the per-state path (median of 15 calls,
     repeated 5 times, on a 2-vCPU machine).
     """
-    keys, L, q, frame, observables, hist_bins = args
+    tasks, seed, exp_id, L, q, frame, observables, hist_bins = args
     basis = enumerate_sector(L, q)
+    keys = SeedPolicy(seed).child_keys(exp_id, tasks)
     coeffs = sector_haar_coefficients(keys, basis.dimension)
     kernel = "xi2" in observables or "m2" in observables
     if frame == "z":
@@ -235,14 +229,14 @@ def _haar_chunk(args):
         cols = _participation(np.abs(coeffs) ** 2, basis.states, 0, basis,
                               observables)
     else:
-        states = np.empty((len(keys), 2 ** L), dtype=complex)
+        states = np.empty((len(tasks), 2 ** L), dtype=complex)
         for state, c in zip(states, coeffs):
             state[:] = apply_frame_rotation(basis.embed(c), frame)
         cols = _participation(np.abs(states) ** 2, slice(None),
                               int(basis.states[0]), basis, observables)
     hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
     if kernel:
-        cols["xi2"], cols["m2"] = _magic(states, len(keys), hist)
+        cols["xi2"], cols["m2"] = _magic(states, len(tasks), hist)
     return np.column_stack([cols[obs] for obs in observables]), hist
 
 
@@ -305,11 +299,10 @@ def _haar_draws(jobs, seed, threads, L, observables, hist_bins=0):
     qs = [q for _, _, q, _ in jobs]
     dims = _size_check([L], qs, (1, L_RANGE[1]), "sampling")
     total = sum(samples for _, samples, _, _ in jobs)
-    if total * _SAMPLE_BYTES > _PHYSICAL_MEMORY:
-        raise ConfigError(f"{total} samples do not fit in physical memory")
+    _memory_check(total * _SAMPLE_BYTES, f"{total} samples do not fit in")
     per_job = _dispatch(_haar_chunk, [
-        (exp_id, samples, L, q, frame, observables, hist_bins)
-        for exp_id, samples, q, frame in jobs], seed, threads)
+        (samples, seed, exp_id, L, q, frame, observables, hist_bins)
+        for exp_id, samples, q, frame in jobs], threads)
     out = []
     for q, chunks in zip(qs, per_job):
         rows = np.concatenate([vals for vals, _ in chunks])
@@ -319,17 +312,18 @@ def _haar_draws(jobs, seed, threads, L, observables, hist_bins=0):
 
 
 def _disorder_chunk(args):
-    """Disorder realizations, one per stream key, in task order: per
-    realization a list with one cell per sector in qs, holding the m2 of
-    each kept mid-spectrum eigenstate, their energy densities, the gap ratio
-    and whether the block is zero.  q None means the full space."""
-    keys, model, L, qs, params, window, fraction = args
+    """Disorder realizations of the tasks in the range, in task order (csyk
+    from each task's stream): per realization a list with one cell per
+    sector in qs, holding the m2 of each kept mid-spectrum eigenstate, their
+    energy densities, the gap ratio and whether the block is zero.  q None
+    means the full space."""
+    tasks, seed, exp_id, model, L, qs, params, window, fraction = args
     out = []
-    for key in keys:
+    for i in tasks:
         # build_csyk by this module's name: bench/tracer.py times it here
         H = (CLEAN_BUILDERS[model](L, **dict(params))
              if model in CLEAN_BUILDERS
-             else build_csyk(L, seed=GaussianStream(key)))
+             else build_csyk(L, seed=SeedPolicy(seed).stream(exp_id, i)))
         row = []
         for q in qs:
             block, basis = extract_sector_block(H, q)
@@ -363,9 +357,8 @@ def run_ensemble_experiment(L, q, samples, frame="z", seed=0, threads=None,
     stream stabilizer purity / entropy and participation entropies per
     sample, with the exact ensemble moments attached for comparison."""
     qs = list(q)
-    if histogram_bins * len(qs) * _HIST_BIN_BYTES > _PHYSICAL_MEMORY:
-        raise ConfigError(f"{histogram_bins} histogram bins per sector do not "
-                          f"fit in physical memory")
+    _memory_check(histogram_bins * len(qs) * _HIST_BIN_BYTES,
+                  f"{histogram_bins} histogram bins per sector do not fit in")
 
     draws = _haar_draws(
         [(f"sample:L={L}:q={q}:frame={frame}", samples, q, frame)
@@ -544,14 +537,16 @@ def run_disorder_sweep(model, L, q=None, realizations=1, seed=0,
     if model not in CHARGED and qs != [None]:
         raise ConfigError(f"{model} has no conserved charge; leave q unset")
     dims = _block_check([L], qs, model)
+    # per realization its row and its kept eigenstates, _SAMPLE_BYTES each;
     # a window's kept count is known only after diagonalization
-    _realization_check(realizations, 1 + (0 if fraction is None else sum(
-        round(fraction * d) for d in dims.values())))
+    kept = sum(round(fraction * d) for d in dims.values()) if fraction else 0
+    _memory_check((1 + kept) * realizations * _SAMPLE_BYTES,
+                  f"{realizations} realizations do not fit in")
     params = tuple(sorted(couplings.items()))
 
     (chunks,) = _dispatch(_disorder_chunk, [
-        (f"{model}:L={L}", realizations, model, L, tuple(qs), params, window,
-         fraction)], seed, threads)
+        (realizations, seed, f"{model}:L={L}", model, L, tuple(qs), params,
+         window, fraction)], threads)
 
     records = []
     pooled = {q: {"m2": SummaryStats(), "gap": SummaryStats(), "zero": 0}
@@ -614,12 +609,13 @@ def run_self_averaging(L_values=(6, 8, 10), realizations=50, seed=0,
             raise ConfigError(
                 f"fraction {fraction} keeps no eigenstate of the L={L}, "
                 f"q={q} sector (dimension {d})")
-    _realization_check(realizations, sum(1 + round(fraction * d)
-                                         for d in dims.values()))
+    _memory_check(sum(1 + round(fraction * d) for d in dims.values())
+                  * realizations * _SAMPLE_BYTES,
+                  f"{realizations} realizations do not fit in")
 
     per_size = _dispatch(_disorder_chunk, [
-        (f"selfavg:csyk:L={L}", realizations, "csyk", L, (q,), (), None,
-         fraction) for L in L_values], seed, threads)
+        (realizations, seed, f"selfavg:csyk:L={L}", "csyk", L, (q,), (), None,
+         fraction) for L in L_values], threads)
     records = []
     sizes = []
     for L, chunks in zip(L_values, per_size):

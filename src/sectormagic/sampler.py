@@ -127,14 +127,11 @@ class SeedPolicy:
         msg = f"{self.master_seed}:{experiment_id}:{task_index}".encode()
         return int.from_bytes(hashlib.sha256(msg).digest()[:16], "little")
 
+    def child_keys(self, experiment_id: str, tasks) -> list:
+        return [self.child_key(experiment_id, i) for i in tasks]
+
     def stream(self, experiment_id: str, task_index: int) -> GaussianStream:
         return GaussianStream(self.child_key(experiment_id, task_index))
-
-
-def _as_stream(seed) -> GaussianStream:
-    if isinstance(seed, GaussianStream):
-        return seed
-    return SeedPolicy(int(seed)).stream("adhoc", 0)
 
 
 def constrained_haar_state(L: int, q: int, frame="z", seed=0) -> np.ndarray:
@@ -142,12 +139,14 @@ def constrained_haar_state(L: int, q: int, frame="z", seed=0) -> np.ndarray:
 
     frame: 'x' | 'y' | 'z' or a Direction.  Draws d_q complex Gaussians on
     the z-sector basis, normalizes, embeds, and rotates into the frame.
+    seed: a GaussianStream, drawn from where it stands, or an int.
     """
     _check_sector(L, q)
     basis = enumerate_sector(L, q)
-    coeffs = _as_stream(seed).complex_normals(basis.dimension)
-    coeffs /= np.linalg.norm(coeffs)
-    psi = basis.embed(coeffs)
+    stream = (seed if isinstance(seed, GaussianStream)
+              else SeedPolicy(int(seed)).stream("adhoc", 0))
+    coeffs = stream.complex_normals(basis.dimension)
+    psi = basis.embed(_normalize_rows(coeffs[None])[0])
     if frame != "z":
         psi = apply_frame_rotation(psi, frame)
     return psi

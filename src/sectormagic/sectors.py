@@ -166,14 +166,9 @@ class Direction:
     def rotation(self) -> np.ndarray:
         """Single-qubit unitary U with U sigma^z U^dagger = n . sigma."""
         th, ph = self.theta, self.phi
-        ry = np.array(
-            [
-                [math.cos(th / 2), -math.sin(th / 2)],
-                [math.sin(th / 2), math.cos(th / 2)],
-            ]
-        )
+        c, s = math.cos(th / 2), math.sin(th / 2)
         rz = np.diag([np.exp(-0.5j * ph), np.exp(0.5j * ph)])
-        return rz @ ry
+        return rz @ np.array([[c, -s], [s, c]])
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)

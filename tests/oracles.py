@@ -170,10 +170,12 @@ def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,),
 
 def haar_chunk_per_state(args):
     """The sector-Haar chunk worker drawing and reducing one state at a
-    time: a GaussianStream per key, the embedded (and rotated) state, the
-    weights of its 2^L amplitudes.  Same arguments and results as
-    `experiments._haar_chunk`, which must equal it bit for bit."""
-    keys, L, q, frame, observables, hist_bins = args
+    time: a GaussianStream per task, keyed here by child_key, the embedded
+    (and rotated) state, the weights of its 2^L amplitudes.  Same arguments
+    and results as `experiments._haar_chunk`, which must equal it bit for
+    bit."""
+    tasks, seed, exp_id, L, q, frame, observables, hist_bins = args
+    keys = [SeedPolicy(seed).child_key(exp_id, i) for i in tasks]
     kernel = "xi2" in observables or "m2" in observables
     weights = not {"ipr2", "s2", "probe"}.isdisjoint(observables)
     if "probe" in observables:

@@ -29,11 +29,11 @@ FRAMES = ("z", "x", "y")
 
 
 def _keys(n):
-    return [SeedPolicy(17).child_key("chunk", i) for i in range(n)]
+    return SeedPolicy(17).child_keys("chunk", range(n))
 
 
 def _assert_bitwise(L, q, frame, experiment, bins, n):
-    args = (_keys(n), L, q, frame, OBSERVABLES[experiment], bins)
+    args = (range(n), 17, "chunk", L, q, frame, OBSERVABLES[experiment], bins)
     rows, hist = experiments._haar_chunk(args)
     want_rows, want_hist = oracles.haar_chunk_per_state(args)
     assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape

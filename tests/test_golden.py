@@ -13,12 +13,21 @@ cases split into several worker calls, at 1 the 3-realization cases too.
 
 The digests hold only inside that docstring's envelope.  They were recorded
 with numpy 2.4 and scipy 1.17 on an x86-64 CPU with AVX-512, at OpenBLAS's
-default thread count.  On a CPU of another SIMD tier, sample_z_hist and
-self_averaging fail: numpy's np.log and np.exp round differently there.
+default thread count.  numpy's np.log and np.exp round differently at its
+X86_V3 tier (AVX2, no AVX-512), where sample_z_hist and self_averaging have
+digests of their own, kept beside the others in TIER_GOLDEN; the tier is
+the highest x86 level numpy reports as found.  On an AVX-512 CPU one more
+test reruns every case in a subprocess with numpy's AVX-512 loops switched
+off, so one machine checks both tiers.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sectormagic.harness import experiments
@@ -88,6 +97,32 @@ GOLDEN = {
 }
 
 
+#: tier -> the cases whose digests differ there, (record, summary); the
+#: X86_V3 ones were recorded with NPY_DISABLE_CPU_FEATURES set to
+#: V3_ONLY on an AVX-512 CPU
+TIER_GOLDEN = {
+    "X86_V3": {
+        "sample_z_hist": (
+            "e2933d43d24548384665d018016daeb538bb1d678ac91e7fb6ae0f9722646671",
+            "360632ddf81b17f25ebbee427da7092426cc93c37bc6c057ac62be49cb3f2ba4"),
+        "self_averaging": (
+            "d8822304439ce3a0beb58c866332a33e1deefa14469a70112892b69ec9a02ad7",
+            "6afe30e3564f3b3946876ec91d0b74b2d3de9238cba2d85f5bd1d93f63dfab96"),
+    },
+}
+
+#: numpy's SIMD features switched off to run at the X86_V3 tier
+V3_ONLY = "X86_V4 AVX512_ICL AVX512_SPR"
+
+_FOUND = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+#: the highest x86 level numpy found on this CPU (None on other CPUs)
+TIER = max((f for f in _FOUND if f.startswith("X86_V")), default=None)
+
+
+def _golden(name):
+    return TIER_GOLDEN.get(TIER, {}).get(name, GOLDEN[name])
+
+
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -111,4 +146,26 @@ def test_golden_output_bytes(name, chunk, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == summary.read_text()
     ext = "jsonl" if "jsonl" in argv else "csv"
     got = (_sha(tmp_path / f"{name}.{ext}"), _sha(summary))
-    assert got == GOLDEN[name]
+    assert got == _golden(name)
+
+
+@pytest.mark.skipif(TIER != "X86_V4", reason="numpy runs no AVX-512 loops "
+                    "here, so it cannot switch them off")
+def test_golden_output_bytes_at_the_x86_v3_tier():
+    """Every golden case, rerun in one subprocess whose numpy finds X86_V3
+    at most, gives the X86_V3 digests where it has them and GOLDEN's
+    elsewhere."""
+    tests = Path(__file__).resolve().parent
+    code = ("import sys, pytest, test_golden\n"
+            "print('tier', test_golden.TIER, flush=True)\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-k',"
+            " 'test_golden_output_bytes', test_golden.__file__]))\n")
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=tests.parent, capture_output=True,
+        text=True, timeout=600,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": V3_ONLY,
+             "PYTHONPATH": path})
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.startswith("tier X86_V3\n"), run.stdout
+    assert f"{len(CASES) * len(CHUNKS)} passed" in run.stdout, run.stdout

@@ -35,7 +35,7 @@ from sectormagic.harness import (
     write_jsonl,
     write_summary,
 )
-from sectormagic.harness import experiments, stats
+from sectormagic.harness import cli, experiments, stats
 from sectormagic.sampler import SeedPolicy
 from sectormagic.harness.cli import TABLE, build_parser, main, resolve
 
@@ -401,6 +401,34 @@ def test_one_pool_per_run(monkeypatch, three_cpus):
     assert made == []
 
 
+@pytest.mark.parametrize("argv, keys", [
+    # 130 samples: three chunks, two of them forked out
+    (["pe-check", "--L", "4", "--q", "0", "--samples", "130"], 130),
+    # 65 realizations: a full and a short chunk, one csyk stream each
+    (["csyk", "--L", "4", "--q", "0", "--realizations", "65",
+      "--fraction", "0.5"], 65),
+], ids=["pe-check", "csyk"])
+def test_stream_keys_are_made_only_in_the_workers(capsys, monkeypatch,
+                                                  tmp_path, three_cpus, argv,
+                                                  keys):
+    """A forked run keys each task's stream in the worker that runs the
+    task: the parent derives no key, and every key is derived once."""
+    log = tmp_path / "pids"
+    child_key = SeedPolicy.child_key
+
+    def logged(self, experiment_id, task_index):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return child_key(self, experiment_id, task_index)
+
+    monkeypatch.setattr(SeedPolicy, "child_key", logged)
+    code, _, _ = run_cli(capsys, argv + ["--seed", "3", "--threads", "2"])
+    assert code == 0
+    pids = log.read_text().split()
+    assert len(pids) == keys
+    assert str(os.getpid()) not in pids
+
+
 def test_variance_convergence_checkpoints():
     records, summary = run_variance_convergence(2, [0], 300, seed=2,
                                                threads=1,
@@ -468,9 +496,8 @@ def test_frames_are_clifford_rotations_state_by_state(L, q, n):
     single-qubit Cliffords, which permutes its Pauli strings up to sign: the
     same stream keys give the same Xi_2 in every frame, through the kernel's
     parity path (z) and its all-rows path (x, y)."""
-    policy = SeedPolicy(11)
-    keys = [policy.child_key(f"frames:L={L}", i) for i in range(n)]
-    xi2 = {frame: experiments._haar_chunk((keys, L, q, frame, ("xi2",), 0))[0]
+    xi2 = {frame: experiments._haar_chunk(
+               (range(n), 11, f"frames:L={L}", L, q, frame, ("xi2",), 0))[0]
            for frame in "zxy"}
     for frame in "xy":
         np.testing.assert_allclose(xi2[frame], xi2["z"], rtol=1e-13, atol=0)
@@ -740,6 +767,40 @@ def test_cli_degenerate_inputs_refused_up_front(capsys, monkeypatch, tmp_path):
     err = _refused(capsys, ["sample", "--L", "2", "--q", "0", "--samples", "3",
                             "--out", str(tmp_path / "missing" / "x")])
     assert "output directory" in err and "does not exist" in err
+
+
+_SAMPLE_OUT = ["sample", "--L", "2", "--q", "0", "--samples", "2", "--out"]
+
+
+@pytest.mark.parametrize("name", ["x.csv", "x.summary.json"])
+def test_cli_output_path_that_is_a_directory_refused_up_front(
+        capsys, monkeypatch, tmp_path, name):
+    """A directory named like the record or the summary file is refused
+    before any draw, with exit 2 and one line."""
+    (tmp_path / name).mkdir()
+    monkeypatch.setattr(experiments, "_dispatch", None)
+    err = _refused(capsys, _SAMPLE_OUT + [str(tmp_path / "x")])
+    assert f"output path {tmp_path / name} is a directory" in err
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "write_summary"])
+def test_cli_writer_os_error_exits_2(capsys, monkeypatch, tmp_path, writer):
+    """An OSError of either writer ends the run with exit 2 and one line,
+    never a traceback."""
+    def refuse(obj, path):
+        raise PermissionError(13, "Permission denied", str(path))
+    monkeypatch.setattr(cli, writer, refuse)
+    err = _refused(capsys, _SAMPLE_OUT + [str(tmp_path / "x")])
+    assert "cannot write output" in err and "Permission denied" in err
+
+
+def test_cli_summary_name_too_long_exits_2(capsys, tmp_path):
+    """A prefix whose record file name fits but whose summary file name is
+    longer than a file name may be: the writer's OSError exits 2."""
+    prefix = tmp_path / ("x" * 250)
+    err = _refused(capsys, _SAMPLE_OUT + [str(prefix)])
+    assert "cannot write output" in err
+    assert os.listdir(tmp_path) == ["x" * 250 + ".csv"]
 
 
 def _disorder_case(message, *argv):
