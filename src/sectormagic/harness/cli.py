@@ -306,16 +306,21 @@ def resolve(command: str, file: dict | None = None,
 
 def _emit(result, values: dict, paths, stdout) -> None:
     """Print the summary (or analytic payload) and write the records and the
-    summary to paths, if any, an OSError as a ConfigError.  An exact payload
-    holds integers and rationals of any size, so Python's cap on the digits
-    of an int written as text is lifted while it prints, and only then."""
+    summary to paths, if any, an OSError as a ConfigError; a record file is
+    removed when its summary cannot be written.  An exact payload holds
+    integers and rationals of any size, so Python's cap on the digits of an
+    int written as text is lifted while it prints, and only then."""
     if "out" in values:
         records, result = result
         write = write_jsonl if values["format"] == "jsonl" else write_csv
         try:
             if paths:
                 write(records, paths[0])
-                write_summary(result, paths[1])
+                try:
+                    write_summary(result, paths[1])
+                except OSError:
+                    os.remove(paths[0])
+                    raise
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from None
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap

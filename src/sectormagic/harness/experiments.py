@@ -17,10 +17,10 @@ one-state sector) is None, never NaN.
 Determinism, stated here once.  No output byte depends on the worker
 count or on CHUNK.  (1) Each task's values depend only on its stream key:
 the batched draw works element by element and normalizes row by row, so
-row i has the bits of the per-state draw; `_participation` reduces each
-row on its own, `_magic` takes one state per call, and histograms are
-integer counts.  (2) Every floating-point reduction across tasks runs in
-the parent, in task order (SummaryStats, pooled statistics, the
+row i has the bits of the per-state draw; participation_block reduces
+each row on its own, `_magic` takes one state per call, and histograms
+are integer counts.  (2) Every floating-point reduction across tasks
+runs in the parent, in task order (SummaryStats, pooled statistics, the
 self-averaging sums).  The envelope: the bytes are fixed by the config
 for a given numpy build and SIMD tier (np.log and np.exp, and complex
 np.abs below AVX2, dispatch by CPU), BLAS build and BLAS thread count
@@ -50,7 +50,7 @@ from ..moments import (
 )
 from ..asymptotics import asymptotic_prediction, nearest_sector_charge
 from ..sampler import SeedPolicy, sector_haar_coefficients
-from ..magic import pauli_spectrum
+from ..magic import participation_block, pauli_spectrum
 # not called here; bench/tracer.py times these names on this module
 from ..sampler import constrained_haar_state  # noqa: F401
 from ..magic import shannon_pe  # noqa: F401
@@ -205,12 +205,11 @@ def _haar_chunk(args):
 
     Observables: xi2 and m2 (Pauli kernel), ipr2 = sum p^2 and s2, the
     Shannon participation entropy shannon_pe, and probe, the weight
-    d |c_x0|^2 of the first sector basis state.  Only the requested ones
-    are computed.  The chunk's coefficients are drawn as one block, and
-    one participation call reduces the weights of all its states, on the
-    sector basis in the z frame and on all 2^L amplitudes once rotated;
-    kernel calls take the states one at a time.  Every value has the bits
-    of the per-state computation kept in tests/oracles.py.
+    d |c_x0|^2 of the first sector basis state.  The chunk is drawn as one
+    block, and one participation_block call reduces all its weights, on
+    the sector basis in the z frame and on all 2^L amplitudes once
+    rotated; the kernel runs, one state at a time, for xi2 or m2 only.
+    Every value has the bits of the per-state oracle in tests/oracles.py.
 
     Rotation stays per state: rotating the whole (64, 4096) block at
     once, in an x-frame pe-check at L = 12, took 717-827 us per state
@@ -221,21 +220,22 @@ def _haar_chunk(args):
     basis = enumerate_sector(L, q)
     keys = SeedPolicy(seed).child_keys(exp_id, tasks)
     coeffs = sector_haar_coefficients(keys, basis.dimension)
-    kernel = "xi2" in observables or "m2" in observables
     if frame == "z":
         # a z-frame state's weights sit on the sector basis states, in
         # increasing x; its probe weight is in column 0
         states = map(basis.embed, coeffs)
-        cols = _participation(np.abs(coeffs) ** 2, basis.states, 0, basis,
-                              observables)
+        weights, support, probe = np.abs(coeffs) ** 2, basis.states, 0
     else:
         states = np.empty((len(tasks), 2 ** L), dtype=complex)
         for state, c in zip(states, coeffs):
             state[:] = apply_frame_rotation(basis.embed(c), frame)
-        cols = _participation(np.abs(states) ** 2, slice(None),
-                              int(basis.states[0]), basis, observables)
+        weights, support = np.abs(states) ** 2, slice(None)
+        probe = int(basis.states[0])
+    cols = dict(zip(("ipr2", "s2", "shannon_pe"),
+                    participation_block(weights, support, L)))
+    cols["probe"] = basis.dimension * weights[:, probe]
     hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
-    if kernel:
+    if "xi2" in observables or "m2" in observables:
         cols["xi2"], cols["m2"] = _magic(states, len(tasks), hist)
     return np.column_stack([cols[obs] for obs in observables]), hist
 
@@ -254,40 +254,6 @@ def _magic(states, count: int, hist=None):
         if hist is not None:
             hist += summ.histogram[0]
     return xi2s, m2s
-
-
-def _participation(weights, support, probe: int, basis, observables):
-    """The requested participation observables of a block of states, one
-    array per observable.  Row i of weights holds the weights p_x =
-    |c_x|^2 of one normalized 2^L-amplitude state at x = support, in
-    increasing x (every other p_x is 0); column probe holds x0, the first
-    state of the sector basis.
-
-    Each value has the bits of the formula on the full 2^L weight vector:
-    ipr2 is one BLAS dot over the 2^L weights (a dot over the support alone
-    rounds differently), and shannon_pe is one 1-D pairwise np.sum per row
-    over the positive weights, the order of magic.shannon_pe (numpy does
-    not promise that order for a 2-D reduction along axis 1).
-    """
-    out = {}
-    if not {"ipr2", "s2"}.isdisjoint(observables):
-        full = np.zeros(2 ** basis.L)
-        ipr2 = np.empty(len(weights))
-        for i, w in enumerate(weights):
-            full[support] = w
-            ipr2[i] = full @ full
-        out["ipr2"] = ipr2
-        out["s2"] = np.array([0.0 - math.log2(x) for x in ipr2])
-    if "shannon_pe" in observables:
-        positive = weights > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = weights * np.log2(weights)
-        out["shannon_pe"] = np.array([
-            0.0 - np.sum(t if pos.all() else t[pos])
-            for t, pos in zip(terms, positive)])
-    if "probe" in observables:
-        out["probe"] = basis.dimension * weights[:, probe]
-    return out
 
 
 def _haar_draws(jobs, seed, threads, L, observables, hist_bins=0):

@@ -68,6 +68,7 @@ __all__ = [
     "pauli_spectrum",
     "stabilizer_purity_fast",
     "stabilizer_entropy",
+    "participation_block",
     "participation_entropy",
     "shannon_pe",
 ]
@@ -287,20 +288,42 @@ def stabilizer_entropy(state: np.ndarray, alpha=2) -> float:
     return 0.0 - math.log2(xi) / (alpha - 1)  # 0.0 - x: never -0.0
 
 
+def participation_block(weights: np.ndarray, support, L: int):
+    """(ipr2, s2, shannon_pe) of a block of states, one entry per row:
+    ipr2 = sum_x p_x^2, s2 = -log2(ipr2) and -sum_x p_x log2 p_x, in bits.
+    Row i holds the weights p_x = |c_x|^2 of one normalized 2^L-amplitude
+    state at x = support, in increasing x (every other p_x is 0).  Each
+    value has the bits of the formula on the full 2^L weights, whatever the
+    support and the block: ipr2 is one BLAS dot over the 2^L weights (a dot
+    over the support alone rounds differently), and shannon_pe one 1-D
+    pairwise np.sum per row over the positive weights (numpy does not
+    promise that order for a 2-D reduction along axis 1)."""
+    full = np.zeros(1 << L)
+    ipr2 = np.empty(len(weights))
+    for i, w in enumerate(weights):
+        full[support] = w
+        ipr2[i] = full @ full
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = weights * np.log2(weights)
+    shannon = np.array([0.0 - np.sum(t if pos.all() else t[pos])
+                        for t, pos in zip(terms, weights > 0)])
+    return ipr2, np.array([0.0 - math.log2(x) for x in ipr2]), shannon
+
+
 def participation_entropy(state: np.ndarray, k=2) -> float:
-    """Renyi participation entropy S_k = log2(sum_x p_x^k)/(1-k), bits."""
-    if k == 1:
-        return shannon_pe(state)
+    """Renyi participation entropy S_k = log2(sum_x p_x^k)/(1-k), bits, of a
+    2^L-amplitude state; S_1 (Shannon) and S_2 are participation_block's."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    p = np.abs(np.asarray(state)) ** 2
+    p = np.abs(np.asarray(state)).ravel() ** 2
+    if k in (1, 2):
+        _, s2, s1 = participation_block(p[None], slice(None), _qubit_count(p))
+        return float((s1 if k == 1 else s2)[0])
     if k == 0:
         return math.log2(int(np.count_nonzero(p > 1e-14)))
     return 0.0 - math.log2(float(np.sum(p ** k))) / (k - 1)
 
 
 def shannon_pe(state: np.ndarray) -> float:
-    """Shannon participation entropy -sum p log2 p, bits."""
-    p = np.abs(np.asarray(state)) ** 2
-    p = p[p > 0]
-    return float(0.0 - np.sum(p * np.log2(p)))
+    """Shannon participation entropy -sum p log2 p, bits: S_1."""
+    return participation_entropy(state, 1)

@@ -98,7 +98,12 @@ def haar_mean_sp2(L: int) -> Fraction:
 
 
 def m2_mean_bound(L: int, q: int) -> float:
-    """-log2 of the exact mean; the ensemble-typical 2-stabilizer-entropy."""
+    """-log2 of the exact mean (the ensemble-typical 2-stabilizer-entropy)
+    as log2(den) - log2(num) in floats.  tilted_m2_bound's 60-digit decimal
+    logs and run_disorder_sweep's -log2(float(haar_mean_sp2(L))) are two
+    more formulas, each behind pinned bytes; on the z axis, over L = 2..64
+    and |q| <= 12, the tilted one differs from this one in 473 of 738
+    sectors, by at most 3 ulps (tests/test_tilted.py bounds the gap)."""
     v = mean_sp2(L, q)
     return math.log2(v.denominator) - math.log2(v.numerator)
 
@@ -254,7 +259,7 @@ def mean_sp2_tilted(L: int, q: int, direction) -> float:
 
 def tilted_m2_bound(L: int, q: int, direction) -> float:
     """-log2 of the exact tilted-axis mean, from 60-digit logarithms of its
-    numerator and denominator."""
+    numerator and denominator: up to 3 ulps from m2_mean_bound on z."""
     v = _tilted_mean_sum(L, q, Direction.of(direction))
     ctx = decimal.Context(prec=60)
     num, den = decimal.Decimal(v.numerator), decimal.Decimal(v.denominator)

@@ -29,8 +29,7 @@ import numpy as np
 
 from sectormagic import (Direction, GaussianStream, SeedPolicy, binomial,
                          constrained_haar_state, enumerate_sector,
-                         kravchuk_int, pauli_spectrum, second_moment_sp2,
-                         shannon_pe)
+                         kravchuk_int, pauli_spectrum, second_moment_sp2)
 
 
 def rising(d: int, k: int) -> int:
@@ -171,16 +170,15 @@ def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,),
 def haar_chunk_per_state(args):
     """The sector-Haar chunk worker drawing and reducing one state at a
     time: a GaussianStream per task, keyed here by child_key, the embedded
-    (and rotated) state, the weights of its 2^L amplitudes.  Same arguments
+    (and rotated) state, the weights of its 2^L amplitudes and a Shannon
+    sum of its own (not magic.shannon_pe).  Same arguments
     and results as `experiments._haar_chunk`, which must equal it bit for
     bit."""
     tasks, seed, exp_id, L, q, frame, observables, hist_bins = args
     keys = [SeedPolicy(seed).child_key(exp_id, i) for i in tasks]
     kernel = "xi2" in observables or "m2" in observables
-    weights = not {"ipr2", "s2", "probe"}.isdisjoint(observables)
-    if "probe" in observables:
-        basis = enumerate_sector(L, q)
-        d, probe = basis.dimension, int(basis.states[0])
+    basis = enumerate_sector(L, q)
+    d, probe = basis.dimension, int(basis.states[0])
     rows = np.empty((len(keys), len(observables)))
     hist = np.zeros(hist_bins, dtype=np.int64) if hist_bins else None
     for i, key in enumerate(keys):
@@ -194,14 +192,12 @@ def haar_chunk_per_state(args):
             value["m2"] = 0.0 - math.log2(value["xi2"])
             if hist is not None:
                 hist += summ.histogram[0]
-        if weights:
-            p = np.abs(state) ** 2
-            value["ipr2"] = float(p @ p)
-            value["s2"] = 0.0 - math.log2(value["ipr2"])
-            if "probe" in observables:
-                value["probe"] = d * float(p[probe])
-        if "shannon_pe" in observables:
-            value["shannon_pe"] = shannon_pe(state)
+        p = np.abs(state) ** 2
+        value["ipr2"] = float(p @ p)
+        value["s2"] = 0.0 - math.log2(value["ipr2"])
+        value["probe"] = d * float(p[probe])
+        w = p[p > 0]
+        value["shannon_pe"] = 0.0 - np.sum(w * np.log2(w))
         rows[i] = [value[obs] for obs in observables]
     return rows, hist
 

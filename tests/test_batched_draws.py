@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 import oracles
-from sectormagic import Direction, SeedPolicy, enumerate_sector, shannon_pe
+from sectormagic import (Direction, GaussianStream, SeedPolicy,
+                         constrained_haar_state, enumerate_sector,
+                         participation_entropy, shannon_pe)
 from sectormagic.harness import experiments
+from sectormagic.magic import participation_block
 from sectormagic.sampler import sector_haar_coefficients
 
 #: the observable tuple each experiment passes to the chunk worker
@@ -82,32 +85,48 @@ def test_chunk_matches_oracle_across_sizes(L, q, frame, experiment, bins, n):
 
 
 def test_participation_keeps_exact_zero_weights():
-    """Rows with exact zero weights, at the probe state, inside the row and
-    everywhere but one state, reduce as the per-state formulas on the
-    embedded vector do: zero weights leave the Shannon sum, as in
+    """Rows with exact zero weights, at the first sector state, inside the
+    row and everywhere but one state, reduce as the per-state formulas on
+    the embedded vector do: zero weights leave the Shannon sum, as in
     p[p > 0]."""
     L, q = 6, 0
     basis = enumerate_sector(L, q)
-    d = basis.dimension
-    block = sector_haar_coefficients(_keys(4), d)
+    block = sector_haar_coefficients(_keys(4), basis.dimension)
     block[0, 0] = 0.0
     block[1, 7] = 0.0
     block[2] = 0.0
     block[2, 5] = 1.0
     block /= np.linalg.norm(block, axis=1, keepdims=True)
-    got = experiments._participation(np.abs(block) ** 2, basis.states, 0,
-                                     basis, experiments._PE_OBS)
+    got = participation_block(np.abs(block) ** 2, basis.states, L)
     for i, coeffs in enumerate(block):
-        psi = basis.embed(coeffs)
-        p = np.abs(psi) ** 2
+        p = np.abs(basis.embed(coeffs)) ** 2
         ipr2 = float(p @ p)
-        want = {"ipr2": ipr2, "s2": 0.0 - math.log2(ipr2),
-                "shannon_pe": shannon_pe(psi),
-                "probe": d * float(p[basis.states[0]])}
-        for obs, value in want.items():
-            assert math.isfinite(got[obs][i])
-            assert np.float64(got[obs][i]).tobytes() == \
+        w = p[p > 0]
+        want = (ipr2, 0.0 - math.log2(ipr2), 0.0 - np.sum(w * np.log2(w)))
+        for obs, column, value in zip(("ipr2", "s2", "shannon_pe"), got,
+                                      want):
+            assert math.isfinite(column[i])
+            assert np.float64(column[i]).tobytes() == \
                 np.float64(value).tobytes(), (i, obs)
+
+
+def test_per_state_entropies_equal_the_written_columns():
+    """participation_entropy(psi, 2) and shannon_pe(psi) of each drawn
+    state have the bits of the s2 and shannon_pe columns that the chunk
+    worker writes for it: 294 draws over the three frames, L = 6..12."""
+    n = 14
+    cols = [experiments._PE_OBS.index(obs) for obs in ("s2", "shannon_pe")]
+    for L in range(6, 13):
+        for j, frame in enumerate(FRAMES):
+            q = L % 2 + 2 * j - 2
+            args = (range(n), 17, "pe", L, q, frame, experiments._PE_OBS, 0)
+            rows, _ = experiments._haar_chunk(args)
+            want = np.empty((n, 2))
+            for i, key in enumerate(SeedPolicy(17).child_keys("pe", range(n))):
+                psi = constrained_haar_state(L, q, frame=frame,
+                                             seed=GaussianStream(key))
+                want[i] = participation_entropy(psi, 2), shannon_pe(psi)
+            assert rows[:, cols].tobytes() == want.tobytes(), (L, frame)
 
 
 def test_a_second_draw_leaves_the_first_block_unchanged():

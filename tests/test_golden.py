@@ -1,6 +1,7 @@
 """Golden output bytes of every CLI experiment.
 
-Each case runs the command line at a tiny size with one worker and compares
+Each case runs the command line at a small size (L <= 6, and two sampling
+cases at L = 10) with one worker and compares
 the SHA-256 of the record file (CSV, or JSONL where the case asks for it)
 and the summary file with digests recorded once and never re-recorded: a
 refactor of the drivers must reproduce the records and summaries byte for
@@ -38,6 +39,8 @@ CASES = {
     "sample_z_hist": ["sample", "--L", "4", "--q", "0", "--q", "2",
                       "--samples", "70", "--frame", "z",
                       "--histogram-bins", "16"],
+    "sample_l10": ["sample", "--L", "10", "--q", "0", "--samples", "32",
+                   "--frame", "z", "--histogram-bins", "16"],
     "sample_x_hist": ["sample", "--L", "4", "--q", "0", "--samples", "9",
                       "--frame", "x", "--histogram-bins", "8"],
     "variance_convergence": ["variance-convergence", "--L", "4", "--q", "0",
@@ -48,6 +51,7 @@ CASES = {
     "pe_check": ["pe-check", "--L", "6", "--q", "2", "--samples", "70"],
     "pe_check_jsonl": ["pe-check", "--L", "6", "--q", "2", "--samples", "70",
                        "--format", "jsonl"],
+    "pe_check_l10": ["pe-check", "--L", "10", "--q", "0", "--samples", "64"],
     "csyk": ["csyk", "--L", "6", "--q", "0", "--q", "2",
              "--realizations", "3", "--fraction", "0.3"],
     "xxz": ["xxz", "--L", "6", "--q", "0", "--window", "0.6",
@@ -79,6 +83,12 @@ GOLDEN = {
     "pe_check_jsonl": (
         "cc86eb4318c0d759252fe202eb0543c4d815339d04772ca86ab9115041182ad6",
         "d9025f2c42fe4d16c4113014a61fcbbaa4053641cff67b922d1476764b82fbe0"),
+    "pe_check_l10": (
+        "005871e507afe292281b5e4d4babd06b9fdedd31a0de1043457a49fb4ee73c79",
+        "6543d3e9bec3746900eca34cce6fead783b26f94dccb8c572e07c3043ce20a66"),
+    "sample_l10": (
+        "82a6a070a2358e12a2cf0febfa0702357e228b7fddebb693ff094c1bb0734db6",
+        "5e599fbd5e2944ba6e9ccccadd8294a1049c1e22c01eff734eafbfa7637427e5"),
     "sample_x_hist": (
         "c481834cb7cef9d7b84486083fe25e5f7fe99cc76abe39e6d1c417e96c0aa40b",
         "d1607e492a1a40d3af73d3683263a26d082f82de0a89dacdc3fda1778ede743e"),

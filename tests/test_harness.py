@@ -786,21 +786,28 @@ def test_cli_output_path_that_is_a_directory_refused_up_front(
 @pytest.mark.parametrize("writer", ["write_csv", "write_summary"])
 def test_cli_writer_os_error_exits_2(capsys, monkeypatch, tmp_path, writer):
     """An OSError of either writer ends the run with exit 2 and one line,
-    never a traceback."""
+    never a traceback.  A record file that could not be opened is left as
+    it was; one this run wrote goes when its summary cannot be written."""
     def refuse(obj, path):
         raise PermissionError(13, "Permission denied", str(path))
+    (tmp_path / "x.csv").write_text("kept\n")
     monkeypatch.setattr(cli, writer, refuse)
     err = _refused(capsys, _SAMPLE_OUT + [str(tmp_path / "x")])
     assert "cannot write output" in err and "Permission denied" in err
+    if writer == "write_csv":
+        assert (tmp_path / "x.csv").read_text() == "kept\n"
+    assert os.listdir(tmp_path) == (["x.csv"] if writer == "write_csv"
+                                    else [])
 
 
 def test_cli_summary_name_too_long_exits_2(capsys, tmp_path):
     """A prefix whose record file name fits but whose summary file name is
-    longer than a file name may be: the writer's OSError exits 2."""
+    longer than a file name may be: the writer's OSError exits 2, and the
+    record file written before it is removed."""
     prefix = tmp_path / ("x" * 250)
     err = _refused(capsys, _SAMPLE_OUT + [str(prefix)])
     assert "cannot write output" in err
-    assert os.listdir(tmp_path) == ["x" * 250 + ".csv"]
+    assert os.listdir(tmp_path) == []
 
 
 def _disorder_case(message, *argv):

@@ -9,6 +9,7 @@ from sectormagic import (
     SeedPolicy,
     apply_frame_rotation,
     constrained_haar_state,
+    m2_mean_bound,
     mean_sp2,
     mean_sp2_tilted,
     stabilizer_purity_fast,
@@ -115,6 +116,18 @@ def test_bound_is_log_of_mean():
     for L, q in [(4, 0), (8, 2)]:
         v = mean_sp2_tilted(L, q, n)
         assert tilted_m2_bound(L, q, n) == pytest.approx(-math.log2(v), abs=1e-10)
+
+
+def test_z_axis_bound_within_3_ulps_of_the_float_formula():
+    """On the z axis the 60-digit decimal bound and m2_mean_bound's float
+    log2(den) - log2(num) take -log2 of one rational; they may differ in
+    the last bits, by at most 3 ulps over L = 2..64 and |q| <= 12."""
+    for L in range(2, 65):
+        top = min(L, 12 - L % 2)
+        for q in range(-top, top + 1, 2):
+            want = m2_mean_bound(L, q)
+            gap = abs(tilted_m2_bound(L, q, "z") - want)
+            assert gap <= 3 * math.ulp(want), (L, q)
 
 
 def test_generic_axis_lowers_mean_purity():
