@@ -50,12 +50,10 @@ from .sampler import (
     constrained_haar_state,
 )
 from .magic import (
-    PauliSpectrumSummary,
     participation_entropy,
     pauli_spectrum,
     shannon_pe,
     stabilizer_entropy,
-    stabilizer_purity_fast,
 )
 from .hamiltonians import (
     EigenSystem,

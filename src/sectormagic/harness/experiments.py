@@ -242,17 +242,12 @@ def _haar_chunk(args):
 
 def _magic(states, count: int, hist=None):
     """The Xi_2 and m2 columns of count states, one pauli_spectrum call per
-    state in order; with hist, each state's |<P>|^2 counts over hist.size
-    bins are added to it."""
+    state in order, which adds the state's |<P>|^2 counts to hist if given."""
     xi2s, m2s = np.empty(count), np.empty(count)
-    bins = None if hist is None else hist.size
     for i, state in enumerate(states):
-        summ = pauli_spectrum(state, (2.0,), histogram_bins=bins)
-        xi2 = xi2s[i] = summ.purity(2.0)
+        xi2 = xi2s[i] = pauli_spectrum(state, 2.0, hist)
         # 0.0 - x, not -x: a zero entropy is written as 0, not -0
         m2s[i] = 0.0 - math.log2(xi2)
-        if hist is not None:
-            hist += summ.histogram[0]
     return xi2s, m2s
 
 

@@ -11,6 +11,8 @@ i.e. for each X-mask a the vector f_a(x) = conj(c_{x XOR a}) c_x is
 Walsh-Hadamard transformed over b.  Masks are processed in fixed-order
 batches (deterministic accumulation) in O(L 4^L) total time; the i^{a.b}
 phase of the Hermitian Pauli string is dropped since only moduli enter.
+`pauli_spectrum` returns Xi_alpha of one alpha per call; given a caller's
+int64 array, it also adds to it the bin counts of the 4^L |<P>|^2 values.
 
 Layout.  The live X-masks of a batch are gathered in sub-blocks of
 columns, one column per mask, as (2^L, columns) arrays, and the
@@ -57,16 +59,13 @@ The result is bitwise identical, at half the transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .sectors import _qubit_count
 
 __all__ = [
-    "PauliSpectrumSummary",
     "pauli_spectrum",
-    "stabilizer_purity_fast",
     "stabilizer_entropy",
     "participation_block",
     "participation_entropy",
@@ -134,18 +133,6 @@ def fwht_swapped(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return fwht_leading_axis(out, 1 << k)
 
 
-@dataclass
-class PauliSpectrumSummary:
-    """Streamed summary of the Pauli expectation spectrum of one state."""
-
-    L: int
-    purities: dict = field(default_factory=dict)  # alpha -> Xi_alpha
-    histogram: tuple | None = None  # (counts, bin edges) over |<P>|^2
-
-    def purity(self, alpha) -> float:
-        return self.purities[float(alpha)]
-
-
 class _Workspace:
     """The kernel's buffers at one L: the basis indices, their popcount
     parities and their bit-swapped order, one sub-block of the gather and
@@ -179,13 +166,9 @@ def _workspace_at(L: int) -> _Workspace:
     return _workspace
 
 
-def pauli_spectrum(
-    state: np.ndarray,
-    alphas=(2,),
-    histogram_bins: int | None = None,
-) -> PauliSpectrumSummary:
-    """Compute Xi_alpha for each requested alpha in one pass over all 4^L
-    Pauli strings.
+def pauli_spectrum(state: np.ndarray, alpha=2.0, hist=None) -> float:
+    """Xi_alpha of a normalized 2^L-amplitude state, in one pass over all
+    4^L Pauli strings.
 
     X-masks are summed in batches of max(1, min(2^L, 2^21 / 2^L)) and
     transformed in sub-blocks of at most max(1, 2^17 / 2^L) of a batch's
@@ -194,9 +177,9 @@ def pauli_spectrum(
     and transformed by `fwht_swapped`, whose levels all run on long
     contiguous runs; a batch is summed with one row per mask, in the
     floating-point order of a row-major transform (see the module
-    docstring).  A bounded histogram of the |<P>|^2 values over [0, 1] is
-    accumulated when histogram_bins is given; the full 4^L list is never
-    stored.
+    docstring).  With hist, an int64 array, the |<P>|^2 values are counted
+    over hist.size uniform bins of [0, 1] and the counts added to it in
+    place; the full 4^L list is never stored.
 
     When the exact zeros of the state leave support of one popcount
     parity only, the odd X-mask rows, which are exactly zero, are skipped
@@ -207,17 +190,15 @@ def pauli_spectrum(
     L = _qubit_count(psi)
     _check_normalized(psi)
     n = psi.size
-    alphas = tuple(float(a) for a in alphas)
-    if any(a < 1 for a in alphas):
+    alpha = float(alpha)
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
+    if hist is not None:
+        if hist.size == 0:
+            raise ValueError("hist needs at least one bin")
+        edges = np.linspace(0.0, 1.0, hist.size + 1)
 
-    acc = {a: 0.0 for a in alphas}
-    hist_counts = None
-    hist_edges = None
-    if histogram_bins:
-        hist_counts = np.zeros(histogram_bins, dtype=np.int64)
-        hist_edges = np.linspace(0.0, 1.0, histogram_bins + 1)
-
+    acc = 0.0
     ws = _workspace_at(L)
     idx0, perm, p = ws.idx0, ws.perm, ws.p
     psi_perm = psi[perm]
@@ -253,38 +234,27 @@ def pauli_spectrum(
             # reads in cache
             for x in range(0, n, 64):
                 p[sub, x : x + 64] = g2[x : x + 64].T
-            if hist_counts is not None:
+            if hist is not None:
                 # counts do not depend on the element order; clamp the
                 # one-ulp overshoot of the identity string
                 np.minimum(g2, 1.0, out=g2)
-                hist_counts += np.histogram(g2, bins=hist_edges)[0]
-        if hist_counts is not None:
-            hist_counts[0] += (masks.size - rows.size) * n  # skipped zeros
-        for a in alphas[:-1]:
-            acc[a] += float(np.sum(p ** a))
-        for a in alphas[-1:]:
-            # the last power in place: p ** 2.0 is np.square, bitwise p * p
-            if a == 2.0:
-                np.multiply(p, p, out=p)
-            else:
-                np.power(p, a, out=p)
-            acc[a] += float(np.sum(p))
-
-    purities = {a: acc[a] / n for a in alphas}
-    histogram = (hist_counts, hist_edges) if hist_counts is not None else None
-    return PauliSpectrumSummary(L=L, purities=purities, histogram=histogram)
-
-
-def stabilizer_purity_fast(state: np.ndarray, alpha=2) -> float:
-    """Xi_alpha via the Walsh-Hadamard kernel."""
-    return pauli_spectrum(state, (alpha,)).purity(alpha)
+                hist += np.histogram(g2, bins=edges)[0]
+        if hist is not None:
+            hist[0] += (masks.size - rows.size) * n  # skipped zeros
+        # the power in place: p ** 2.0 is np.square, bitwise p * p
+        if alpha == 2.0:
+            np.multiply(p, p, out=p)
+        else:
+            np.power(p, alpha, out=p)
+        acc += float(np.sum(p))
+    return acc / n
 
 
 def stabilizer_entropy(state: np.ndarray, alpha=2) -> float:
     """M_alpha = log2(Xi_alpha) / (1 - alpha); non-negative for pure states."""
     if alpha == 1:
         raise ValueError("alpha = 1 is the degenerate (Shannon) index")
-    xi = stabilizer_purity_fast(state, alpha)
+    xi = pauli_spectrum(state, alpha)
     return 0.0 - math.log2(xi) / (alpha - 1)  # 0.0 - x: never -0.0
 
 
@@ -313,7 +283,7 @@ def participation_block(weights: np.ndarray, support, L: int):
 def participation_entropy(state: np.ndarray, k=2) -> float:
     """Renyi participation entropy S_k = log2(sum_x p_x^k)/(1-k), bits, of a
     2^L-amplitude state; S_1 (Shannon) and S_2 are participation_block's."""
-    if k < 0:
+    if not k >= 0:
         raise ValueError("k must be >= 0")
     p = np.abs(np.asarray(state)).ravel() ** 2
     if k in (1, 2):

@@ -126,22 +126,21 @@ def fwht_last_axis(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,),
-                             histogram_bins=None):
+def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,), bins=None):
     """The Walsh-Hadamard kernel transforming every X-mask, zero rows
     included, as (masks, n) rows with the last-axis butterfly: the
     reference that the package's row skipping and leading-axis layout must
-    match bit for bit (same batches, same per-batch sums, same histogram)."""
-    from sectormagic.magic import PauliSpectrumSummary
-
+    match bit for bit (same batches, same per-batch sums, same histogram).
+    Returns ({alpha: Xi_alpha}, the |<P>|^2 counts over bins uniform bins
+    of [0, 1], or None without bins)."""
     psi = np.ascontiguousarray(state, dtype=np.complex128)
     n = psi.size
     alphas = tuple(float(a) for a in alphas)
     acc = {a: 0.0 for a in alphas}
-    hist_counts = hist_edges = None
-    if histogram_bins:
-        hist_counts = np.zeros(histogram_bins, dtype=np.int64)
-        hist_edges = np.linspace(0.0, 1.0, histogram_bins + 1)
+    counts = edges = None
+    if bins:
+        counts = np.zeros(bins, dtype=np.int64)
+        edges = np.linspace(0.0, 1.0, bins + 1)
     idx0 = np.arange(n, dtype=np.int64)
     batch = max(1, min(n, (1 << 21) // n))
     for start in range(0, n, batch):
@@ -157,14 +156,10 @@ def pauli_spectrum_all_masks(state: np.ndarray, alphas=(2,),
                 acc[a] += float(np.sum(p * p))
             else:
                 acc[a] += float(np.sum(p ** a))
-        if hist_counts is not None:
+        if counts is not None:
             np.minimum(p, 1.0, out=p)
-            c, _ = np.histogram(p, bins=hist_edges)
-            hist_counts += c
-    histogram = (hist_counts, hist_edges) if hist_counts is not None else None
-    return PauliSpectrumSummary(L=n.bit_length() - 1,
-                                purities={a: acc[a] / n for a in alphas},
-                                histogram=histogram)
+            counts += np.histogram(p, bins=edges)[0]
+    return {a: acc[a] / n for a in alphas}, counts
 
 
 def haar_chunk_per_state(args):
@@ -186,12 +181,8 @@ def haar_chunk_per_state(args):
                                        seed=GaussianStream(key))
         value = {}
         if kernel:
-            summ = pauli_spectrum(state, (2.0,),
-                                  histogram_bins=hist_bins or None)
-            value["xi2"] = summ.purity(2.0)
+            value["xi2"] = pauli_spectrum(state, 2.0, hist)
             value["m2"] = 0.0 - math.log2(value["xi2"])
-            if hist is not None:
-                hist += summ.histogram[0]
         p = np.abs(state) ** 2
         value["ipr2"] = float(p @ p)
         value["s2"] = 0.0 - math.log2(value["ipr2"])

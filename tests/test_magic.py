@@ -11,7 +11,6 @@ from sectormagic import (
     pauli_spectrum,
     shannon_pe,
     stabilizer_entropy,
-    stabilizer_purity_fast,
 )
 from sectormagic import magic
 from sectormagic.magic import fwht_leading_axis, fwht_swapped, swapped_order
@@ -119,7 +118,7 @@ def test_fast_equals_bruteforce_on_random_states():
             psi = haar_state(L, seed=seed)
             brute = oracles.xi_alpha_reference(psi, alphas=(2, 3))
             for alpha in (2, 3):
-                fast = stabilizer_purity_fast(psi, alpha)
+                fast = pauli_spectrum(psi, alpha)
                 assert fast == pytest.approx(brute[alpha], abs=1e-12), (
                     L, seed, alpha)
 
@@ -128,7 +127,7 @@ def test_parseval_alpha_one():
     """Xi_1 = 1 for every normalized state (completeness of the Pauli basis)."""
     for L in (1, 3, 5):
         psi = haar_state(L, seed=L)
-        assert stabilizer_purity_fast(psi, 1) == pytest.approx(1.0, abs=1e-10)
+        assert pauli_spectrum(psi, 1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_magic_free_states():
@@ -136,8 +135,8 @@ def test_magic_free_states():
     for L in (2, 3, 4):
         e0 = np.zeros(2 ** L, dtype=complex)
         e0[3 % 2 ** L] = 1.0
-        assert stabilizer_purity_fast(e0) == pytest.approx(1.0, abs=1e-12)
-        assert stabilizer_purity_fast(ghz_state(L)) == pytest.approx(1.0, abs=1e-12)
+        assert pauli_spectrum(e0) == pytest.approx(1.0, abs=1e-12)
+        assert pauli_spectrum(ghz_state(L)) == pytest.approx(1.0, abs=1e-12)
         assert stabilizer_entropy(ghz_state(L)) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -146,8 +145,8 @@ def test_t_state_tensor_powers():
     runs the kernel over two batches of 1024 X-masks."""
     for L in (1, 2, 3, 5, 11):
         psi = t_state(L)
-        assert stabilizer_purity_fast(psi, 2) == pytest.approx(0.75 ** L, rel=1e-10)
-        assert stabilizer_purity_fast(psi, 3) == pytest.approx(0.625 ** L, rel=1e-10)
+        assert pauli_spectrum(psi, 2) == pytest.approx(0.75 ** L, rel=1e-10)
+        assert pauli_spectrum(psi, 3) == pytest.approx(0.625 ** L, rel=1e-10)
         assert stabilizer_entropy(psi, 2) == pytest.approx(
             L * math.log2(4.0 / 3.0), abs=1e-9
         )
@@ -157,42 +156,59 @@ def test_clifford_invariance():
     """Hadamard on every qubit and CZ on a pair leave the purity unchanged."""
     L = 4
     psi = haar_state(L, seed=17)
-    base = stabilizer_purity_fast(psi)
+    base = pauli_spectrum(psi)
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     H = np.ones((1, 1))
     for _ in range(L):
         H = np.kron(H, h1)
-    assert stabilizer_purity_fast(H @ psi) == pytest.approx(base, abs=1e-11)
+    assert pauli_spectrum(H @ psi) == pytest.approx(base, abs=1e-11)
     # CZ between qubits 0 and 1 (diagonal phase on bits 0 and 1 both set)
     x = np.arange(2 ** L)
     cz = np.where((x & 1) & ((x >> 1) & 1), -1.0, 1.0)
-    assert stabilizer_purity_fast(cz * psi) == pytest.approx(base, abs=1e-11)
+    assert pauli_spectrum(cz * psi) == pytest.approx(base, abs=1e-11)
 
 
-def test_multi_alpha_single_pass_and_batching():
+def test_one_alpha_per_call_matches_dense_sweep():
+    """Each call returns one Xi_alpha as a float: Xi_1 = 1, and Xi_2 and
+    Xi_3 equal the dense sweep."""
     psi = haar_state(5, seed=4)
-    summary = pauli_spectrum(psi, alphas=(1, 2, 3))
-    assert summary.L == 5
-    assert summary.purity(1) == pytest.approx(1.0, abs=1e-10)
+    assert type(pauli_spectrum(psi)) is float
+    assert pauli_spectrum(psi, 1) == pytest.approx(1.0, abs=1e-10)
     ref2 = oracles.xi_alpha_reference(psi, alphas=(2, 3))
-    assert summary.purity(2) == pytest.approx(ref2[2], abs=1e-11)
-    assert summary.purity(3) == pytest.approx(ref2[3], abs=1e-11)
+    assert pauli_spectrum(psi, 2) == pytest.approx(ref2[2], abs=1e-11)
+    assert pauli_spectrum(psi, 3) == pytest.approx(ref2[3], abs=1e-11)
 
 
 def test_histogram_counts_all_strings():
     L = 4
     psi = constrained_haar_state(L, 0, seed=8)
-    s = pauli_spectrum(psi, alphas=(2,), histogram_bins=50)
-    counts, edges = s.histogram
+    counts = np.zeros(50, dtype=np.int64)
+    xi2 = pauli_spectrum(psi, 2, counts)
     assert counts.sum() == 4 ** L
-    assert edges[0] == 0.0 and edges[-1] == 1.0
     # bin by bin against the dense sweep (the identity string clamped to 1)
+    edges = np.linspace(0.0, 1.0, 51)
     ref = np.minimum(oracles.pauli_moduli(psi) ** 2, 1.0)
     np.testing.assert_array_equal(np.histogram(ref, bins=edges)[0], counts)
     # moment reconstructed from the histogram approximates Xi_2
     mids = 0.5 * (edges[1:] + edges[:-1])
     approx = float(np.sum(counts * mids ** 2)) / 2 ** L
-    assert approx == pytest.approx(s.purity(2), abs=0.01)
+    assert approx == pytest.approx(xi2, abs=0.01)
+
+
+def test_histogram_adds_to_the_callers_counts():
+    """Two calls into one array leave the sum of two fresh arrays, 2 4^L
+    counts in all, and return the same Xi_2: for a z-frame sector state,
+    which skips the odd X-mask rows, and an x-frame one, which transforms
+    them all."""
+    for psi in (constrained_haar_state(8, 0, seed=9),
+                constrained_haar_state(8, 2, frame="x", seed=9)):
+        fresh = [np.zeros(200, dtype=np.int64) for _ in range(2)]
+        xis = [pauli_spectrum(psi, 2, h) for h in fresh]
+        shared = np.zeros(200, dtype=np.int64)
+        xis += [pauli_spectrum(psi, 2, shared) for _ in range(2)]
+        np.testing.assert_array_equal(shared, fresh[0] + fresh[1])
+        assert shared.sum() == 2 * 4 ** 8
+        assert len(set(xis)) == 1
 
 
 def test_sector_states_have_even_x_mask_support():
@@ -237,25 +253,31 @@ def test_row_skipping_is_bitwise_equal_to_all_masks():
         assert set(parity[psi != 0]) == {0, 1}
     assert np.all(full != 0) and np.all(real != 0)
     for psi in states + [mixed, full, real] + xframes:
-        got = pauli_spectrum(psi, (2, 3), histogram_bins=200)
-        ref = oracles.pauli_spectrum_all_masks(psi, (2, 3), histogram_bins=200)
-        assert got.purities == ref.purities
-        np.testing.assert_array_equal(got.histogram[0], ref.histogram[0])
+        got, counts = _spectrum(psi, 200)
+        ref, ref_counts = oracles.pauli_spectrum_all_masks(psi, (2, 3), 200)
+        assert got == ref
+        np.testing.assert_array_equal(counts, ref_counts)
     psi = constrained_haar_state(8, 2, seed=7)
-    got = pauli_spectrum(psi, (2,))
-    assert got.histogram is None
-    assert got.purities == oracles.pauli_spectrum_all_masks(psi, (2,)).purities
+    ref, _ = oracles.pauli_spectrum_all_masks(psi, (2, 3))
+    assert _spectrum(psi) == (ref, None)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        stabilizer_purity_fast(np.ones(3, dtype=complex))
+        pauli_spectrum(np.ones(3, dtype=complex))
     with pytest.raises(ValueError):
-        stabilizer_purity_fast(np.ones(4, dtype=complex))  # unnormalized
+        pauli_spectrum(np.ones(4, dtype=complex))  # unnormalized
+    psi = haar_state(2, 0)
+    for alpha in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            pauli_spectrum(psi, alpha)
+    for alpha in (1, math.nan):
+        with pytest.raises(ValueError):
+            stabilizer_entropy(psi, alpha)
     with pytest.raises(ValueError):
-        pauli_spectrum(haar_state(2, 0), alphas=(0.5,))
-    with pytest.raises(ValueError):
-        stabilizer_entropy(haar_state(2, 0), alpha=1)
+        participation_entropy(psi, math.nan)
+    with pytest.raises(ValueError, match="bin"):
+        pauli_spectrum(psi, 2, np.zeros(0, dtype=np.int64))
 
 
 def test_kernel_working_set_is_fixed(monkeypatch):
@@ -269,12 +291,13 @@ def test_kernel_working_set_is_fixed(monkeypatch):
     sub-blocks (gather and index table, no swap buffer)."""
     states = [haar_state(L, seed=2) for L in (11, 12)]
     states.append(constrained_haar_state(12, 0, seed=2))
-    pauli_spectrum(states[0], (2,), histogram_bins=200)  # warm up
+    counts = np.zeros(200, dtype=np.int64)
+    pauli_spectrum(states[0], 2, counts)  # warm up
     peaks = []
     for psi in states:
         monkeypatch.setattr(magic, "_workspace", None)
         tracemalloc.start()
-        pauli_spectrum(psi, (2,), histogram_bins=200)
+        pauli_spectrum(psi, 2, counts)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
@@ -283,10 +306,17 @@ def test_kernel_working_set_is_fixed(monkeypatch):
     assert peaks[1] <= 24_177_320
 
 
+def _spectrum(psi, bins=None):
+    """({2: Xi_2, 3: Xi_3}, counts or None) of the kernel, one call per
+    alpha, in the shape of the all-mask oracle; the Xi_2 call counts."""
+    counts = None if bins is None else np.zeros(bins, dtype=np.int64)
+    return {2.0: pauli_spectrum(psi, 2, counts),
+            3.0: pauli_spectrum(psi, 3)}, counts
+
+
 def _spectrum_bytes(psi, bins=None):
-    summ = pauli_spectrum(psi, (2, 3), histogram_bins=bins)
-    hist = None if summ.histogram is None else summ.histogram[0].tobytes()
-    return summ.purities, hist
+    xis, counts = _spectrum(psi, bins)
+    return xis, None if counts is None else counts.tobytes()
 
 
 def test_fresh_and_reused_workspace_give_equal_bytes(monkeypatch):
@@ -328,12 +358,13 @@ def test_all_rows_state_after_a_smaller_call_matches_all_masks():
     """An x-frame state transforms every X-mask, at L = 11 in two batches
     of 1024 masks, each in 16 sub-blocks of 64; after an L = 8 call it still
     equals the all-mask reference, histogram included."""
-    pauli_spectrum(constrained_haar_state(8, 0, seed=6), (2,))
+    pauli_spectrum(constrained_haar_state(8, 0, seed=6))
     psi = constrained_haar_state(11, 1, frame="x", seed=6)
-    got = pauli_spectrum(psi, (2,), histogram_bins=200)
-    ref = oracles.pauli_spectrum_all_masks(psi, (2,), histogram_bins=200)
-    assert got.purities == ref.purities
-    np.testing.assert_array_equal(got.histogram[0], ref.histogram[0])
+    counts = np.zeros(200, dtype=np.int64)
+    got = pauli_spectrum(psi, 2, counts)
+    ref, ref_counts = oracles.pauli_spectrum_all_masks(psi, (2,), 200)
+    assert got == ref[2]
+    np.testing.assert_array_equal(counts, ref_counts)
 
 
 def test_entropy_hierarchy_and_pe_bound():

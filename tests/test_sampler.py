@@ -12,7 +12,7 @@ from sectormagic import (
     apply_frame_rotation,
     constrained_haar_state,
     enumerate_sector,
-    stabilizer_purity_fast,
+    pauli_spectrum,
 )
 from sectormagic.sampler import _philox_at, sector_haar_coefficients
 
@@ -156,10 +156,10 @@ def test_projection_sampling_agrees_with_direct():
     vd = np.empty(n)
     vp = np.empty(n)
     for i in range(n):
-        vd[i] = stabilizer_purity_fast(
+        vd[i] = pauli_spectrum(
             constrained_haar_state(L, q, seed=pol.stream("d", i)))
         full = pol.stream("p", i).complex_normals(2 ** L)
-        vp[i] = stabilizer_purity_fast(oracles.project_to_sector(full, q))
+        vp[i] = pauli_spectrum(oracles.project_to_sector(full, q))
     se = math.sqrt(vd.var(ddof=1) / n + vp.var(ddof=1) / n)
     assert abs(vd.mean() - vp.mean()) < 4.0 * se
 

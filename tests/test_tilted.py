@@ -12,7 +12,7 @@ from sectormagic import (
     m2_mean_bound,
     mean_sp2,
     mean_sp2_tilted,
-    stabilizer_purity_fast,
+    pauli_spectrum,
     tilted_m2_bound,
 )
 from sectormagic.asymptotics import tilted_asymptotic_q0
@@ -154,7 +154,7 @@ def test_tilted_mean_against_monte_carlo():
     vals = np.empty(nsamp)
     for i in range(nsamp):
         psi = constrained_haar_state(L, q, frame=n, seed=policy.stream("tilt", i))
-        vals[i] = stabilizer_purity_fast(psi)
+        vals[i] = pauli_spectrum(psi)
     se = vals.std(ddof=1) / math.sqrt(nsamp)
     assert abs(vals.mean() - mean_sp2_tilted(L, q, n)) < 4.5 * se
 
@@ -166,6 +166,6 @@ def test_frame_rotation_changes_purity_but_not_charge_spectrum():
     psi = constrained_haar_state(L, q, frame="z", seed=9)
     rot = apply_frame_rotation(psi, Direction.from_angles(0.8, 0.2))
     assert abs(np.linalg.norm(rot) - 1.0) < 1e-12
-    assert stabilizer_purity_fast(psi) != pytest.approx(
-        stabilizer_purity_fast(rot), abs=1e-6
+    assert pauli_spectrum(psi) != pytest.approx(
+        pauli_spectrum(rot), abs=1e-6
     )
